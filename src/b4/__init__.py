@@ -13,8 +13,7 @@ solver       explicit finite-difference integration and checkpoints
 functionals  coupling constants, coefficient sequences, form matrices
 spectral     mode spectra, unstable-mode counts, dimension bounds
 tsa          delay embedding, correlation dimension, Lyapunov exponents
-config       plain-text run configuration
-cli          command-line entry point (``b4``)
+cli          run configuration and the command-line entry point (``b4``)
 """
 
 __version__ = "0.1.0"

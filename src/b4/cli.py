@@ -62,13 +62,8 @@ from .tsa import (
     AnalysisConfig,
     albano_dimension,
     autocorrelation,
-    correlation_integral,
-    embed,
     embedding_stride,
     largest_lyapunov,
-    radii_grid,
-    svd_reduce,
-    theiler_window,
 )
 
 
@@ -293,9 +288,12 @@ def _fmt(value):
     return f"{float(value):.17g}"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+def _write_csv(path, header, rows, append=False):
+    """Write rows under a header; append=True adds them to an existing file."""
+    append = append and path.exists()
+    with open(path, "a" if append else "w") as fh:
+        if not append:
+            fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -311,22 +309,13 @@ def _snapshot_path(out, t):
 
 
 def _write_snapshot(path, state):
-    xs = np.arange(state.nx) * state.dx
-    ys = np.arange(state.ny) * state.dy
-    with open(path, "w") as fh:
-        fh.write("x,y,u,v,w,z\n")
-        for i in range(state.nx):
-            x_text = _fmt(xs[i])
-            for j in range(state.ny):
-                cells = (
-                    x_text,
-                    _fmt(ys[j]),
-                    _fmt(state.u[i, j]),
-                    _fmt(state.v[i, j]),
-                    _fmt(state.w[i, j]),
-                    _fmt(state.z[i, j]),
-                )
-                fh.write(",".join(cells) + "\n")
+    rows = np.empty((state.nx, state.ny, 6))
+    rows[..., 0] = (np.arange(state.nx) * state.dx)[:, None]
+    rows[..., 1] = np.arange(state.ny) * state.dy
+    rows[..., 2:] = np.moveaxis(state.data, 0, -1)
+    np.savetxt(
+        path, rows.reshape(-1, 6), fmt="%.17g", delimiter=",", header="x,y,u,v,w,z", comments=""
+    )
 
 
 def run_simulate(config):
@@ -341,119 +330,82 @@ def run_simulate(config):
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    resuming = bool(config.resume_from)
-    if resuming:
-        state, params, start_step, start_t = load_checkpoint(config.resume_from)
-        grid = config.grid()
-        found = (state.nx, state.ny, state.bc)
-        wanted = (grid.nx, grid.ny, grid.bc)
-        if found != wanted:
-            raise ConfigError(
-                f"checkpoint grid {found} does not match the config grid {wanted}"
-            )
-    else:
-        params = config.system_params()
-        grid = config.grid()
-        state = initial_condition(
-            grid, stationary_solution(params), config.ic_amplitude, config.ic_seed
-        )
-        start_step = 0
-        start_t = -math.inf
-
-    dt = config.dt
-    if dt is None:
-        dt = _auto_dt(params, state.nx, state.ny, state.dx, state.dy)
-    limit = stability_limit(
-        params,
-        state.dx if state.nx > 1 else math.inf,
-        state.dy if state.ny > 1 else math.inf,
-    )
-    if dt > limit:
-        raise ConfigError(f"dt = {dt:g} exceeds the stability limit {limit:g}")
-    if not (0 <= config.probe_ix < state.nx and 0 <= config.probe_iy < state.ny):
-        raise ConfigError(
-            f"probe ({config.probe_ix}, {config.probe_iy}) is outside the "
-            f"{state.nx}x{state.ny} grid"
-        )
-
-    total_steps = round(config.t_end / dt)
-    if total_steps <= start_step:
-        raise ConfigError(
-            f"t_end = {config.t_end:g} is not past the checkpoint step {start_step}"
-        )
-
-    snap = config.snapshot_every
-    boundaries = {total_steps}
-    if snap > 0:
-        first = snap * (start_step // snap + 1)
-        boundaries.update(range(first, total_steps + 1, snap))
-
-    def _open(path, header):
-        if resuming and path.exists():
-            return open(path, "a")
-        fh = open(path, "w")
-        fh.write(header + "\n")
-        return fh
-
     probe_path = out / "probe.csv"
     norms_path = out / "norms.csv"
     written = [probe_path, norms_path]
+
+    def snapshot(state, step_index):
+        path = _snapshot_path(out, step_index * dt)
+        _write_snapshot(path, state)
+        written.append(path)
+
+    resuming = bool(config.resume_from)
+    try:
+        if resuming:
+            state, params, start_step, _ = load_checkpoint(config.resume_from)
+            grid = config.grid()
+            found = (state.nx, state.ny, state.bc)
+            wanted = (grid.nx, grid.ny, grid.bc)
+            if found != wanted:
+                raise ConfigError(
+                    f"checkpoint grid {found} does not match the config grid {wanted}"
+                )
+        else:
+            params = config.system_params()
+            state = initial_condition(
+                config.grid(), stationary_solution(params), config.ic_amplitude, config.ic_seed
+            )
+            start_step = 0
+        dt = config.dt
+        if dt is None:
+            dt = _auto_dt(params, state.nx, state.ny, state.dx, state.dy)
+        run = SolverConfig(
+            dt=dt,
+            t_end=config.t_end,
+            record_every=config.record_every,
+            probe=(config.probe_ix, config.probe_iy),
+        )
+        if config.snapshot_every > 0 and not resuming:
+            snapshot(state, 0)
+        result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
+    except ValueError as exc:
+        # A bad checkpoint, and the solver's stability, probe and step-count
+        # checks, all point at the config.
+        raise ConfigError(str(exc)) from None
+
+    records = result.records
+    if resuming and start_step % config.record_every == 0:
+        # The run that wrote the checkpoint has written this row already.
+        records = records[1:]
     # Weight of the second oscillator pair in the paired-norm monitor.
     delta = params.D2 / params.D4 if params.D4 > 0 else math.nan
-
-    fh_probe = _open(probe_path, "t,u,v,w,z")
-    fh_norms = _open(
+    _write_csv(
+        probe_path,
+        ["t", "u", "v", "w", "z"],
+        ((rec.t, *rec.probe_values.as_tuple()) for rec in records),
+        append=resuming,
+    )
+    _write_csv(
         norms_path,
         "t,l2_u,l2_v,l2_w,l2_z,grad_l2_u,grad_l2_v,grad_l2_w,grad_l2_z,"
-        "L2_functional,K2_functional",
-    )
-    try:
-        if snap > 0 and not resuming:
-            path = _snapshot_path(out, 0.0)
-            _write_snapshot(path, state)
-            written.append(path)
-        current = state
-        offset = start_step
-        last_t = start_t
-        for b in sorted(boundaries):
-            seg = SolverConfig(
-                dt=dt,
-                t_end=b * dt,
-                record_every=config.record_every,
-                probe=(config.probe_ix, config.probe_iy),
+        "L2_functional,K2_functional".split(","),
+        (
+            (
+                rec.t,
+                *rec.l2_norms,
+                *rec.grad_l2_norms,
+                sum(x * x for x in rec.l2_norms),
+                rec.l2_norms[1] ** 2 + delta * rec.l2_norms[3] ** 2,
             )
-            result = simulate(current, params, seg, step_offset=offset)
-            for rec in result.records:
-                if rec.t <= last_t:
-                    continue
-                pv = rec.probe_values
-                fh_probe.write(
-                    ",".join(_fmt(v) for v in (rec.t, pv.u, pv.v, pv.w, pv.z)) + "\n"
-                )
-                l2 = rec.l2_norms
-                summed = sum(x * x for x in l2)
-                paired = l2[1] ** 2 + delta * l2[3] ** 2
-                fh_norms.write(
-                    ",".join(
-                        _fmt(v)
-                        for v in (rec.t, *l2, *rec.grad_l2_norms, summed, paired)
-                    )
-                    + "\n"
-                )
-                last_t = rec.t
-            current = result.final_state
-            offset = b
-            if snap > 0 and b % snap == 0:
-                path = _snapshot_path(out, b * dt)
-                _write_snapshot(path, current)
-                written.append(path)
-    finally:
-        fh_probe.close()
-        fh_norms.close()
+            for rec in records
+        ),
+        append=resuming,
+    )
 
     ck_path = out / "checkpoint.ck"
-    save_checkpoint(ck_path, current, params, offset, offset * dt)
+    save_checkpoint(
+        ck_path, result.final_state, params, result.final_step, result.final_step * dt
+    )
     written.append(ck_path)
     return written
 
@@ -550,16 +502,10 @@ def run_analyze(series_file, config):
 
     report = albano_dimension(x, acfg)
     stride = embedding_stride(x.size, acfg)
-    emb = embed(x, report.m_used, report.tau, stride)
-    coords, _, _ = svd_reduce(emb, acfg.threshold)
-    radii = radii_grid(coords, acfg)
-    C = correlation_integral(
-        coords, radii, theiler_window(acfg, report.tau, report.m_used, stride)
-    )
     cint_path = out / "cint.csv"
     cint_rows = [
         (r, c, math.log10(r), math.log10(c) if c > 0 else math.nan)
-        for r, c in zip(radii.tolist(), C.tolist())
+        for r, c in zip(report.radii.tolist(), report.C.tolist())
     ]
     _write_csv(cint_path, ["r", "C", "log10_r", "log10_C"], cint_rows)
 

@@ -58,42 +58,58 @@ class Point4:
         return (self.u, self.v, self.w, self.z)
 
 
-@dataclass(frozen=True)
+def check_geometry(nx, ny, dx, dy, bc):
+    """Raise ValueError unless the extents, spacings and boundary tag are usable."""
+    if nx < 1 or ny < 1:
+        raise ValueError("grid extents must be at least 1")
+    if not (dx > 0 and math.isfinite(dx)):
+        raise ValueError("dx must be positive and finite")
+    if not (dy > 0 and math.isfinite(dy)):
+        raise ValueError("dy must be positive and finite")
+    if bc not in BC_TAGS:
+        raise ValueError(f"unknown boundary tag {bc!r}")
+
+
+@dataclass(frozen=True, init=False)
 class GridState:
     """Four scalar fields sampled on an nx-by-ny grid.
 
     dx and dy are the sample spacings; each sample carries quadrature
-    weight dx*dy.  Set ny=1 for one-dimensional runs.  The field arrays
-    are frozen (marked read-only) so states can be shared safely.
+    weight dx*dy.  Set ny=1 for one-dimensional runs.  The fields are
+    copied into one read-only (4, nx, ny) array, ``data``, so states can
+    be shared safely; u, v, w and z are views of its rows.
     """
 
     nx: int
     ny: int
     dx: float
     dy: float
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    z: np.ndarray
-    bc: str = BC_NEUMANN
+    data: np.ndarray
+    bc: str
 
-    def __post_init__(self):
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError("grid spacings must be positive")
-        if self.bc not in BC_TAGS:
-            raise ValueError(f"unknown boundary tag {self.bc!r}")
-        shape = (self.nx, self.ny)
-        for name in ("u", "v", "w", "z"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
+    def __init__(self, nx, ny, dx, dy, u, v, w, z, bc=BC_NEUMANN):
+        check_geometry(nx, ny, dx, dy, bc)
+        data = np.empty((4, nx, ny))
+        for i, (name, field) in enumerate(zip("uvwz", (u, v, w, z))):
+            field = np.asarray(field, dtype=np.float64)
+            if field.shape != (nx, ny):
                 raise ValueError(
-                    f"field {name!r} has shape {arr.shape}, expected {shape}"
+                    f"field {name!r} has shape {field.shape}, expected {(nx, ny)}"
                 )
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            data[i] = field
+        data.flags.writeable = False
+        for name, value in zip(
+            ("nx", "ny", "dx", "dy", "data", "bc"), (nx, ny, dx, dy, data, bc)
+        ):
+            object.__setattr__(self, name, value)
+
+    u = property(lambda self: self.data[0])
+    v = property(lambda self: self.data[1])
+    w = property(lambda self: self.data[2])
+    z = property(lambda self: self.data[3])
 
     def fields(self):
-        return (self.u, self.v, self.w, self.z)
+        return tuple(self.data)
 
 
 def validate_params(params):

@@ -19,6 +19,7 @@ from .model import (
     GridState,
     Point4,
     SystemParams,
+    check_geometry,
     reaction_fields,
     validate_params,
 )
@@ -54,14 +55,7 @@ class Grid:
     bc: str = BC_NEUMANN
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid extents must be at least 1")
-        if not (self.dx > 0 and math.isfinite(self.dx)):
-            raise ValueError("dx must be positive and finite")
-        if not (self.dy > 0 and math.isfinite(self.dy)):
-            raise ValueError("dy must be positive and finite")
-        if self.bc not in BC_TAGS:
-            raise ValueError(f"unknown boundary tag {self.bc!r}")
+        check_geometry(self.nx, self.ny, self.dx, self.dy, self.bc)
 
 
 @dataclass(frozen=True)
@@ -70,8 +64,6 @@ class SolverConfig:
     t_end: float
     record_every: int = 1
     probe: tuple = (0, 0)
-    ic_amplitude: float = 1e-3
-    ic_seed: int = 0
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -83,10 +75,6 @@ class SolverConfig:
         ix, iy = self.probe
         if ix < 0 or iy < 0:
             raise ValueError("probe indices must be nonnegative")
-        if self.ic_amplitude < 0:
-            raise ValueError("ic_amplitude must be nonnegative")
-        if self.ic_seed < 0:
-            raise ValueError("ic_seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -114,18 +102,56 @@ def _check_extent(n):
         raise ValueError("simulated directions need at least 3 grid points")
 
 
-def _axis_second_difference(field, axis, spacing, bc):
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (1, 1)
-    if bc == BC_NEUMANN:
-        padded = np.pad(field, pad, mode="reflect")
-    else:
-        padded = np.pad(field, pad, mode="constant")
-    if axis == 0:
-        diff = padded[2:, :] + padded[:-2, :] - 2.0 * padded[1:-1, :]
-    else:
-        diff = padded[:, 2:] + padded[:, :-2] - 2.0 * padded[:, 1:-1]
-    return diff / spacing**2
+class _Stencil:
+    """Five-point Laplacian of a (k, nx, ny) stack of fields.
+
+    The fields live in ``fields``, the interior of a buffer with one
+    ghost layer on each side of every direction of extent above one.
+    Zero ghosts are never written; no-flux ghosts are refreshed on each
+    call to mirror the first interior node.  A direction of extent one
+    is skipped.  Each direction's second difference is formed and
+    scaled on its own and summed onto zero, in the order of padding
+    each field and differencing it axis by axis, so the result is the
+    same bit for bit.
+    """
+
+    def __init__(self, data, dx, dy, bc):
+        k, nx, ny = data.shape
+        _check_extent(nx)
+        _check_extent(ny)
+        gx, gy = int(nx > 1), int(ny > 1)
+        p = np.zeros((k, nx + 2 * gx, ny + 2 * gy))
+        self.fields = p[:, gx : gx + nx, gy : gy + ny]
+        self.fields[...] = data
+        self._lap = np.empty(data.shape)
+        self._pair = np.empty((nx, ny))
+        self._twice = np.empty((nx, ny))
+        self._axes = []
+        if nx > 1:
+            inner = slice(gy, gy + ny)
+            ghosts = ((p[:, 0, inner], p[:, 2, inner]), (p[:, -1, inner], p[:, -3, inner]))
+            self._axes.append((p[:, 2:, inner], p[:, :-2, inner], dx**2, ghosts))
+        if ny > 1:
+            inner = slice(gx, gx + nx)
+            ghosts = ((p[:, inner, 0], p[:, inner, 2]), (p[:, inner, -1], p[:, inner, -3]))
+            self._axes.append((p[:, inner, 2:], p[:, inner, :-2], dy**2, ghosts))
+        self._mirror = bc == BC_NEUMANN
+
+    def laplacian(self):
+        """The Laplacian of the current fields, in an array reused by every call."""
+        lap, pair, twice = self._lap, self._pair, self._twice
+        lap.fill(0.0)
+        for ahead, behind, h2, ghosts in self._axes:
+            if self._mirror:
+                for ghost, mirror in ghosts:
+                    ghost[...] = mirror
+            for acc, a, b, c in zip(lap, ahead, behind, self.fields):
+                np.add(a, b, out=pair)
+                np.multiply(c, 2.0, out=twice)
+                np.subtract(pair, twice, out=pair)
+                np.divide(pair, h2, out=pair)
+                acc += pair
+        return lap
 
 
 def laplacian(field, dx, dy, bc=BC_NEUMANN):
@@ -135,14 +161,7 @@ def laplacian(field, dx, dy, bc=BC_NEUMANN):
         raise ValueError("field must be 2-d (use extent 1 for a flat direction)")
     if bc not in BC_TAGS:
         raise ValueError(f"unknown boundary tag {bc!r}")
-    _check_extent(field.shape[0])
-    _check_extent(field.shape[1])
-    out = np.zeros_like(field)
-    if field.shape[0] > 1:
-        out += _axis_second_difference(field, 0, dx, bc)
-    if field.shape[1] > 1:
-        out += _axis_second_difference(field, 1, dy, bc)
-    return out
+    return _Stencil(field[None], dx, dy, bc).laplacian()[0]
 
 
 def stability_limit(params, dx, dy=math.inf):
@@ -165,42 +184,43 @@ def stability_limit(params, dx, dy=math.inf):
     return min(diffusive, reaction)
 
 
-def _advance(u, v, w, z, params, dt, dx, dy, bc):
-    f, g, h, k = reaction_fields(u, v, w, z, params)
-    un = u + dt * (params.a * laplacian(u, dx, dy, bc) + f)
-    vn = v + dt * (params.b * laplacian(v, dx, dy, bc) + g)
-    wn = w + dt * (params.c * laplacian(w, dx, dy, bc) + h)
-    zn = z + dt * (params.d * laplacian(z, dx, dy, bc) + k)
-    return un, vn, wn, zn
+def _advance(stencil, params, dt, k):
+    """Step k of forward Euler, in place on the stencil's fields.
+
+    All four fields update from the same state.  One reduction over
+    the stack checks the result: a NaN anywhere, or a magnitude above
+    BLOWUP_LIMIT, raises BlowUpError.
+    """
+    fields = stencil.fields
+    rates = reaction_fields(*fields, params)
+    lap = stencil.laplacian()
+    lap *= np.array((params.a, params.b, params.c, params.d)).reshape(4, 1, 1)
+    for acc, rate in zip(lap, rates):
+        acc += rate
+    lap *= dt
+    fields += lap
+    peak = float(np.abs(fields, out=lap).max())
+    if not peak <= BLOWUP_LIMIT:
+        maxima = tuple(float(np.max(np.abs(f))) for f in fields)
+        raise BlowUpError(
+            f"blow-up at t={k * dt:g} (step {k}): max |field| = {peak:.3e}, "
+            f"per-field maxima {maxima}",
+            t=k * dt,
+            step_index=k,
+            max_abs=peak,
+            field_maxima=maxima,
+        )
 
 
-def _field_maxima(u, v, w, z):
-    return tuple(float(np.max(np.abs(f))) for f in (u, v, w, z))
-
-
-def _fields_ok(maxima):
-    # np.max propagates NaN into the per-field maxima, but Python's max
-    # can then skip it depending on argument order; scan explicitly.
-    if any(math.isnan(m) for m in maxima):
-        return False, math.nan
-    overall = max(maxima)
-    return math.isfinite(overall) and overall <= BLOWUP_LIMIT, overall
+def _state_like(state, data):
+    return GridState(state.nx, state.ny, state.dx, state.dy, *data, bc=state.bc)
 
 
 def step(state, params, dt):
     """One explicit step; all four fields update from the same state."""
-    u, v, w, z = _advance(
-        state.u, state.v, state.w, state.z, params, dt, state.dx, state.dy, state.bc
-    )
-    maxima = _field_maxima(u, v, w, z)
-    ok, overall = _fields_ok(maxima)
-    if not ok:
-        raise BlowUpError(
-            f"field magnitude reached {overall:.3e} after one step",
-            max_abs=overall,
-            field_maxima=maxima,
-        )
-    return GridState(state.nx, state.ny, state.dx, state.dy, u, v, w, z, state.bc)
+    stencil = _Stencil(state.data, state.dx, state.dy, state.bc)
+    _advance(stencil, params, dt, 1)
+    return _state_like(state, stencil.fields)
 
 
 def _l2_norm(field, cell_area):
@@ -220,12 +240,9 @@ def _grad_l2_norm(field, dx, dy):
 
 def _make_record(t, ix, iy, fields, dx, dy):
     cell = dx * dy
-    u, v, w, z = fields
     return ObservableRecord(
         t=t,
-        probe_values=Point4(
-            float(u[ix, iy]), float(v[ix, iy]), float(w[ix, iy]), float(z[ix, iy])
-        ),
+        probe_values=Point4(*(float(f[ix, iy]) for f in fields)),
         l2_norms=tuple(_l2_norm(f, cell) for f in fields),
         grad_l2_norms=tuple(_grad_l2_norm(f, dx, dy) for f in fields),
         mins=tuple(float(f.min()) for f in fields),
@@ -233,18 +250,17 @@ def _make_record(t, ix, iy, fields, dx, dy):
     )
 
 
-def simulate(state0, params, cfg, step_offset=0):
+def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=None):
     """Advance state0 to cfg.t_end, recording observables along the way.
 
     Times are step_index * dt with absolute step indices, so a run
     resumed from step_offset reproduces the uninterrupted trajectory
     bit for bit.  The probe series covers every step from step_offset
     to the final one, inclusive.  t_end is mapped to the nearest whole
-    step count.
+    step count, which must lie past step_offset.  With snapshot_every
+    set, on_snapshot(state, step_index) receives the state at every
+    later step index that it divides, as soon as that step is taken.
     """
-    bad = validate_params(params)
-    if bad:
-        raise ValueError(f"invalid parameters: {', '.join(bad)}")
     limit = stability_limit(
         params,
         state0.dx if state0.nx > 1 else math.inf,
@@ -256,40 +272,30 @@ def simulate(state0, params, cfg, step_offset=0):
     if not (0 <= ix < state0.nx and 0 <= iy < state0.ny):
         raise ValueError(f"probe {cfg.probe} outside the {state0.nx}x{state0.ny} grid")
     total_steps = int(round(cfg.t_end / cfg.dt))
-    if total_steps < step_offset:
-        raise ValueError("t_end lies before the resumed step")
+    if total_steps <= step_offset:
+        raise ValueError(
+            f"t_end {cfg.t_end:g} is not past the starting step {step_offset}"
+        )
 
     nsteps = total_steps - step_offset
-    dx, dy, bc = state0.dx, state0.dy, state0.bc
-    u, v, w, z = state0.u, state0.v, state0.w, state0.z
+    dx, dy = state0.dx, state0.dy
+    stencil = _Stencil(state0.data, dx, dy, state0.bc)
+    fields = stencil.fields
     probe = np.empty((nsteps + 1, 5))
     records = []
-
-    def snapshot(i, k):
-        t = k * cfg.dt
-        probe[i] = (t, u[ix, iy], v[ix, iy], w[ix, iy], z[ix, iy])
-        if k % cfg.record_every == 0:
-            records.append(_make_record(t, ix, iy, (u, v, w, z), dx, dy))
-
-    snapshot(0, step_offset)
-    for i in range(1, nsteps + 1):
-        u, v, w, z = _advance(u, v, w, z, params, cfg.dt, dx, dy, bc)
+    for i in range(nsteps + 1):
         k = step_offset + i
-        maxima = _field_maxima(u, v, w, z)
-        ok, overall = _fields_ok(maxima)
-        if not ok:
-            raise BlowUpError(
-                f"blow-up at t={k * cfg.dt:g} (step {k}): max |field| = {overall:.3e}, "
-                f"per-field maxima {maxima}",
-                t=k * cfg.dt,
-                step_index=k,
-                max_abs=overall,
-                field_maxima=maxima,
-            )
-        snapshot(i, k)
+        if i:
+            _advance(stencil, params, cfg.dt, k)
+        t = k * cfg.dt
+        probe[i, 0] = t
+        probe[i, 1:] = fields[:, ix, iy]
+        if k % cfg.record_every == 0:
+            records.append(_make_record(t, ix, iy, fields, dx, dy))
+        if i and snapshot_every and k % snapshot_every == 0:
+            on_snapshot(_state_like(state0, fields), k)
 
-    final = GridState(state0.nx, state0.ny, dx, dy, u, v, w, z, bc)
-    return SimulationResult(records, probe, final, total_steps)
+    return SimulationResult(records, probe, _state_like(state0, fields), total_steps)
 
 
 def initial_condition(grid, base, amplitude, seed):
@@ -331,8 +337,7 @@ def save_checkpoint(path, state, params, step_index, t):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for field in state.fields():
-            fh.write(np.ascontiguousarray(field).tobytes())
+        fh.write(state.data.tobytes())
 
 
 def load_checkpoint(path):
@@ -355,16 +360,10 @@ def load_checkpoint(path):
     bc_code, step_index, t = parts[16], parts[17], parts[18]
     if bc_code not in _BC_NAMES:
         raise ValueError(f"unknown boundary code {bc_code}")
-    count = nx * ny
-    expected = header_size + 4 * count * 8
-    if len(raw) != expected:
+    count = 4 * nx * ny
+    if len(raw) != header_size + count * 8:
         raise ValueError("checkpoint payload size mismatch")
-    fields = []
-    offset = header_size
-    for _ in range(4):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        fields.append(arr.reshape(nx, ny).copy())
-        offset += count * 8
+    data = np.frombuffer(raw, dtype="<f8", count=count, offset=header_size)
     params = SystemParams(**dict(zip(_PARAM_ORDER, values)))
-    state = GridState(nx, ny, dx, dy, *fields, bc=_BC_NAMES[bc_code])
+    state = GridState(nx, ny, dx, dy, *data.reshape(4, nx, ny), bc=_BC_NAMES[bc_code])
     return state, params, step_index, t

@@ -13,7 +13,7 @@ Theiler window (default tau*m).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +66,11 @@ class ScalingFit:
 
 @dataclass(frozen=True)
 class DimensionReport:
+    """The dimension fit at the chosen embedding dimension m_used.
+
+    radii and C are the correlation integral that the fit was made on.
+    """
+
     d: float
     m_used: int
     scaling_region: tuple
@@ -75,6 +80,8 @@ class DimensionReport:
     tau: int
     kept_count: int
     low_confidence: bool
+    radii: np.ndarray
+    C: np.ndarray
 
 
 def autocorrelation(series, max_lag):
@@ -304,41 +311,39 @@ def albano_dimension(series, config=None):
         coords, kept, sigma = svd_reduce(emb, cfg.threshold)
         radii = radii_grid(coords, cfg)
         C = correlation_integral(coords, radii, theiler_window(cfg, tau, m, stride))
-        return correlation_dimension(radii, C), sigma, kept
-
-    def report(fit, sigma, kept, m, takens_ok):
+        fit = correlation_dimension(radii, C)
         return DimensionReport(
             d=fit.d,
             m_used=m,
             scaling_region=fit.scaling_region,
             fit_r2=fit.fit_r2,
             singular_values=tuple(float(s) for s in sigma[:kept]),
-            takens_ok=takens_ok,
+            takens_ok=False,
             tau=tau,
             kept_count=kept,
             low_confidence=fit.low_confidence,
+            radii=radii,
+            C=C,
         )
 
     m = max(2, int(math.floor(cfg.window_factor)) + 1)
     while True:
-        fit, sigma, kept = evaluate(m)
-        if m > 2.0 * fit.d + 1.0:
+        best = evaluate(m)
+        if m > 2.0 * best.d + 1.0:
             break
-        next_m = max(m + 1, int(math.floor(2.0 * fit.d + 1.0)) + 1)
+        next_m = max(m + 1, int(math.floor(2.0 * best.d + 1.0)) + 1)
         if next_m > cfg.m_max:
-            return report(fit, sigma, kept, m, False)
+            return best
         m = next_m
 
-    best = (fit, sigma, kept, m)
     for trial in range(m + 1, min(m + cfg.refine_span, cfg.m_max) + 1):
         try:
-            fit_t, sigma_t, kept_t = evaluate(trial)
+            candidate = evaluate(trial)
         except ValueError:
             break
-        if fit_t.fit_r2 > best[0].fit_r2:
-            best = (fit_t, sigma_t, kept_t, trial)
-    fit, sigma, kept, m_used = best
-    return report(fit, sigma, kept, m_used, m_used >= 2.0 * fit.d + 1.0)
+        if candidate.fit_r2 > best.fit_r2:
+            best = candidate
+    return replace(best, takens_ok=best.m_used >= 2.0 * best.d + 1.0)
 
 
 def largest_lyapunov(series, embed_params, config=None):

@@ -169,6 +169,22 @@ def test_run_simulate_resume_grid_mismatch(tmp_path):
         run_simulate(bad)
 
 
+def test_resume_from_bad_checkpoint_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(small_run_text(tmp_path / "out", t_end=2))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    ck = tmp_path / "out" / "checkpoint.ck"
+    raw = bytearray(ck.read_bytes())
+    raw[104:112] = np.float64(np.nan).tobytes()  # dx
+    bad = tmp_path / "nan_dx.ck"
+    bad.write_bytes(bytes(raw))
+    resume = tmp_path / "resume.cfg"
+    resume.write_text(small_run_text(tmp_path / "out", t_end=4, extra=f"resume_from = {bad}\n"))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(resume)]) == 1
+    assert "dx" in capsys.readouterr().err
+
+
 def test_run_simulate_config_guards(tmp_path):
     with pytest.raises(ConfigError, match="stability"):
         run_simulate(parse_config(small_run_text(tmp_path / "o1", extra="dt = 0.2\n")))

@@ -1,0 +1,108 @@
+"""Golden SHA-256 digests of the solver and ``simulate`` outputs.
+
+The digests pin outputs bit for bit, so a refactor of the solver, the
+stencil or the CSV writers must leave every value here unchanged.  They
+were taken with numpy 2.4.6; another numpy build may round some ufunc
+differently and legitimately need new digests.
+"""
+
+import hashlib
+import shutil
+from dataclasses import replace
+
+from b4.cli import parse_config, run_simulate
+from b4.model import SystemParams, stationary_solution
+from b4.solver import Grid, SolverConfig, initial_condition, simulate
+
+# The byte-identity run of the acceptance suite.
+SMALL_RUN = """
+nx = 64
+ny = 1
+Lx = 63
+Ly = 1
+t_end = 40
+record_every = 12
+snapshot_every = 480
+ic_amplitude = 0.001
+ic_seed = 11
+"""
+
+SMALL_RUN_SHA256 = {
+    "probe.csv": "6a331ab6d082aa1bd5d04cce117a266ac21f30066b7843445a03bc0917d85355",
+    "norms.csv": "8a1f28e972fd44a935bb580ce461c65abd3d58c1349dc25ff7c6a81c867f112e",
+    "snapshot_0.csv": "13ff5cc386de7d66cf27755da5940614ef1fb33b3c7fbe4f4135fc17501d9d61",
+    "snapshot_20.csv": "699d055be279f30417fe68b27868a272b574bfe098f7f468de7789dce7013e4f",
+    "snapshot_40.csv": "bc7bd8ed5dfd3f93cea8f7c4e1ca7401a0b45daec37006fcb0c8f7897ea6a9f3",
+    "checkpoint.ck": "04b75402b1e2a34f94bcbbfece5eb40481f2a0be7c678bf3d6bac31170689d28",
+}
+
+# A 2-D run with zero walls and diffusion strong enough that the
+# stencil moves every digit; record_every does not divide the resume
+# step (96) and snapshot_every does not divide it either.
+SHEET_RUN = """
+nx = 12
+ny = 9
+Lx = 11
+Ly = 8
+bc = dirichlet0
+a = 0.05
+b = 0.1
+c = 0.15
+d = 0.2
+record_every = 10
+snapshot_every = 60
+ic_amplitude = 0.01
+ic_seed = 5
+"""
+
+SHEET_RUN_SHA256 = {
+    "probe.csv": "8ae75476ec17c514f02cbe09fe2aa2efc5f33122c79b70f4ed920eb6a38803bd",
+    "norms.csv": "8b6f61454f26a0f5ce26b83a76c15e33225113294c215939042e2e764db89d29",
+    "snapshot_0.csv": "90645a89e7165899bbbe108d9482bfd88062cd2ebbe7935e563a5f2ce729a212",
+    "snapshot_2.5.csv": "9376070d3b293393fccfdb0336ae5667fbb7b215786a9268541afafbc1de3f07",
+    "snapshot_5.csv": "7efa24dff70cf4d340113e8cf6f1966249c33349772af3d00294ae849acb3242",
+    "snapshot_7.5.csv": "3748e0ef63268a8153ce9f27fb6911cbfda885651e48efda58af7e272a184aa2",
+    "snapshot_10.csv": "4dacfb945ed9f2a12a4ed4a28a982ffba01a50b8b6cdb141732403ff047d44a3",
+    "checkpoint.ck": "6a9e866bfbba9a1374474ee0a37aefc2fb444d197597b472013c55a8d23f7cc1",
+}
+
+CHAIN_PROBE_SHA256 = "c93ae15593e95edbbbd996ae1cb578930f8fe006c461e49c0e9e251a16f7fdd7"
+CHAIN_FINAL_SHA256 = "4ccc26defbd4fad6e06d4fc9aa9d6f1f9a98db872cadbea5dc07f3b7b7070d31"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(paths):
+    return {p.name: sha256(p.read_bytes()) for p in paths}
+
+
+def test_small_run_outputs_are_pinned(tmp_path):
+    config = replace(parse_config(SMALL_RUN), out_dir=str(tmp_path))
+    assert digests(run_simulate(config)) == SMALL_RUN_SHA256
+
+
+def test_sheet_run_outputs_are_pinned_straight_and_resumed(tmp_path):
+    config = parse_config(SHEET_RUN + "t_end = 10\n")
+    straight = run_simulate(replace(config, out_dir=str(tmp_path / "straight")))
+    assert digests(straight) == SHEET_RUN_SHA256
+
+    split = tmp_path / "split"
+    run_simulate(replace(config, t_end=4.0, out_dir=str(split)))
+    shutil.copy(split / "checkpoint.ck", tmp_path / "half.ck")
+    resumed = replace(config, out_dir=str(split), resume_from=str(tmp_path / "half.ck"))
+    run_simulate(resumed)
+    assert digests(split / name for name in SHEET_RUN_SHA256) == SHEET_RUN_SHA256
+
+
+def test_chain_probe_series_and_final_fields_are_pinned():
+    params = SystemParams(a=0.02, b=0.04, c=0.06, d=0.08)
+    state = initial_condition(
+        Grid(40, 1, 0.5, 1.0), stationary_solution(params), 0.05, seed=3
+    )
+    cfg = SolverConfig(dt=1.0 / 24.0, t_end=20.0, record_every=24, probe=(7, 0))
+    result = simulate(state, params, cfg)
+    assert sha256(result.probe_series.tobytes()) == CHAIN_PROBE_SHA256
+    final = b"".join(f.tobytes() for f in result.final_state.fields())
+    assert sha256(final) == CHAIN_FINAL_SHA256

@@ -12,6 +12,7 @@ from b4.model import (
     stationary_solution,
     validate_params,
 )
+from b4.solver import Grid
 
 
 def random_params(rng):
@@ -122,3 +123,23 @@ def test_grid_state_checks_shapes_and_freezes_arrays():
         GridState(4, 3, -0.5, 0.5, ones, ones, ones, ones)
     with pytest.raises(ValueError):
         GridState(4, 3, 0.5, 0.5, ones, ones, ones, ones, bc="periodic")
+
+
+def test_geometry_rejects_empty_grids_and_non_finite_spacings():
+    ones = np.ones((3, 1))
+    for nx, ny, dx, dy in (
+        (3, 1, math.nan, 1.0),
+        (3, 1, 1.0, math.inf),
+        (0, 1, 1.0, 1.0),
+        (3, 0, 1.0, 1.0),
+    ):
+        with pytest.raises(ValueError):
+            Grid(nx, ny, dx, dy)
+        field = np.ones((nx, ny))
+        with pytest.raises(ValueError):
+            GridState(nx, ny, dx, dy, field, field, field, field)
+    # the stacked array backs the field views
+    st = GridState(3, 1, 1.0, 1.0, ones, 2 * ones, 3 * ones, 4 * ones)
+    assert st.data.shape == (4, 3, 1)
+    assert all(np.shares_memory(f, st.data) for f in st.fields())
+    assert np.array_equal(st.z, 4 * ones)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -296,6 +297,23 @@ def test_checkpoint_roundtrip_and_validation(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ValueError):
         load_checkpoint(trunc)
+
+
+def test_load_checkpoint_rejects_empty_grid_and_nan_spacing(tmp_path):
+    state = uniform_state((1.0, 1.0, 1.0, 1.0), nx=3, ny=1)
+    path = tmp_path / "ok.ck"
+    save_checkpoint(path, state, TABLE_PARAMS, 0, 0.0)
+    raw = path.read_bytes()
+    # header: magic, version, ten parameters, then nx, ny, dx, dy
+    nx_at, dx_at, header_size = 88, 104, 145
+    empty = bytearray(raw[:header_size])
+    empty[nx_at : nx_at + 8] = struct.pack("<q", 0)
+    nan_dx = bytearray(raw)
+    nan_dx[dx_at : dx_at + 8] = struct.pack("<d", math.nan)
+    for name, data in (("empty.ck", empty), ("nan.ck", nan_dx)):
+        (tmp_path / name).write_bytes(bytes(data))
+        with pytest.raises(ValueError):
+            load_checkpoint(tmp_path / name)
 
 
 def test_positivity_short_run():
