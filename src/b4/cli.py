@@ -6,8 +6,6 @@ digits, so repeated serial runs with the same config and seed produce
 byte-identical output.
 """
 
-from __future__ import annotations
-
 import os
 
 
@@ -33,7 +31,9 @@ _THREAD_CAP_ERROR = _cap_threads()
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+import types
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,7 @@ from .solver import (
 )
 from .spectral import dimension_bounds
 from .tsa import (
+    MAX_LAG,
     AnalysisConfig,
     albano_dimension,
     autocorrelation,
@@ -70,132 +71,6 @@ from .tsa import (
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range config input."""
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat bag of every run setting, one attribute per config key.
-
-    ``dt = None`` means "choose automatically from the stability
-    limit"; ``theiler = None`` means "use the default exclusion window
-    derived from the embedding".
-    """
-
-    alpha: float = 2.0
-    beta: float = 5.5
-    D1: float = 0.0126
-    D2: float = 0.126
-    D3: float = 0.0125
-    D4: float = 0.125
-    a: float = 1e-6
-    b: float = 1e-6
-    c: float = 1e-6
-    d: float = 1e-6
-    nx: int = 200
-    ny: int = 200
-    Lx: float = 500.0
-    Ly: float = 500.0
-    bc: str = BC_NEUMANN
-    dt: float | None = None
-    t_end: float = 10000.0
-    record_every: int = 24
-    probe_ix: int = 0
-    probe_iy: int = 0
-    ic_amplitude: float = 1e-3
-    ic_seed: int = 0
-    snapshot_every: int = 0
-    resume_from: str = ""
-    out_dir: str = "b4_out"
-    threshold: float = 1e-2
-    m_max: int = 50
-    theiler: int | None = None
-    series_file: str = ""
-    series_column: str = "u"
-    N: int = 2
-    K_prime: float = 1.0
-    K1: float = 1.0
-    C_upper: float = 1.0
-    max_modes: int = 1000
-
-    def system_params(self):
-        return SystemParams(
-            alpha=self.alpha,
-            beta=self.beta,
-            D1=self.D1,
-            D2=self.D2,
-            D3=self.D3,
-            D4=self.D4,
-            a=self.a,
-            b=self.b,
-            c=self.c,
-            d=self.d,
-        )
-
-    def grid(self):
-        # Nodes sit on the domain ends, so spacing is L/(n-1); a
-        # single-node direction keeps the full length as a placeholder.
-        dx = self.Lx / (self.nx - 1) if self.nx > 1 else self.Lx
-        dy = self.Ly / (self.ny - 1) if self.ny > 1 else self.Ly
-        return Grid(self.nx, self.ny, dx, dy, self.bc)
-
-    def analysis_config(self, sample_interval=1.0):
-        return AnalysisConfig(
-            threshold=self.threshold,
-            m_max=self.m_max,
-            theiler=self.theiler,
-            sample_interval=sample_interval,
-        )
-
-
-@dataclass(frozen=True)
-class _KeySpec:
-    kind: str
-    check: str = ""
-
-
-_KEYS = {
-    # reaction and diffusion parameters
-    "alpha": _KeySpec("float", "positive"),
-    "beta": _KeySpec("float", "positive"),
-    "D1": _KeySpec("float", "nonneg"),
-    "D2": _KeySpec("float", "nonneg"),
-    "D3": _KeySpec("float", "nonneg"),
-    "D4": _KeySpec("float", "nonneg"),
-    "a": _KeySpec("float", "positive"),
-    "b": _KeySpec("float", "positive"),
-    "c": _KeySpec("float", "positive"),
-    "d": _KeySpec("float", "positive"),
-    # grid and boundary condition
-    "nx": _KeySpec("int", "ge1"),
-    "ny": _KeySpec("int", "ge1"),
-    "Lx": _KeySpec("float", "positive"),
-    "Ly": _KeySpec("float", "positive"),
-    "bc": _KeySpec("str", "bc"),
-    # time stepping and output
-    "dt": _KeySpec("float_or_auto", "positive"),
-    "t_end": _KeySpec("float", "positive"),
-    "record_every": _KeySpec("int", "ge1"),
-    "probe_ix": _KeySpec("int", "nonneg"),
-    "probe_iy": _KeySpec("int", "nonneg"),
-    "ic_amplitude": _KeySpec("float", "nonneg"),
-    "ic_seed": _KeySpec("int", "u64"),
-    "snapshot_every": _KeySpec("int", "nonneg"),
-    "resume_from": _KeySpec("str"),
-    "out_dir": _KeySpec("str"),
-    # time-series analysis
-    "threshold": _KeySpec("float", "nonneg"),
-    "m_max": _KeySpec("int", "ge2"),
-    "theiler": _KeySpec("int_or_auto", "nonneg"),
-    "series_file": _KeySpec("str"),
-    "series_column": _KeySpec("str", "column"),
-    # dimension bounds and feasibility
-    "N": _KeySpec("int", "n123"),
-    "K_prime": _KeySpec("float", "positive"),
-    "K1": _KeySpec("float", "positive"),
-    "C_upper": _KeySpec("float", "positive"),
-    "max_modes": _KeySpec("int", "ge1"),
-}
-
-_DEFAULTS = RunConfig()
 
 _CHECKS = {
     "positive": (lambda v: v > 0, "must be positive"),
@@ -209,25 +84,105 @@ _CHECKS = {
 }
 
 
-def _convert(name, spec, raw):
-    if spec.kind.endswith("_or_auto") and raw == "auto":
-        return None
-    if spec.kind.startswith("float"):
+def _key(default, check):
+    """A RunConfig field whose parsed values must pass ``_CHECKS[check]``."""
+    return field(default=default, metadata={"check": check})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Flat bag of every run setting, one attribute per config key.
+
+    Each field declares its key once: the annotation is the value type
+    (``T | None`` also accepts ``auto``, parsed as None), the default is
+    the default, and ``_key`` names the range check.  ``dt = None``
+    means "choose automatically from the stability limit";
+    ``theiler = None`` means "use the default exclusion window derived
+    from the embedding".
+    """
+
+    # reaction and diffusion parameters, defaulting to the reference table
+    alpha: float = _key(SystemParams.alpha, "positive")
+    beta: float = _key(SystemParams.beta, "positive")
+    D1: float = _key(SystemParams.D1, "positive")
+    D2: float = _key(SystemParams.D2, "positive")
+    D3: float = _key(SystemParams.D3, "positive")
+    D4: float = _key(SystemParams.D4, "positive")
+    a: float = _key(SystemParams.a, "positive")
+    b: float = _key(SystemParams.b, "positive")
+    c: float = _key(SystemParams.c, "positive")
+    d: float = _key(SystemParams.d, "positive")
+    # grid and boundary condition
+    nx: int = _key(200, "ge1")
+    ny: int = _key(200, "ge1")
+    Lx: float = _key(500.0, "positive")
+    Ly: float = _key(500.0, "positive")
+    bc: str = _key(BC_NEUMANN, "bc")
+    # time stepping and output
+    dt: float | None = _key(None, "positive")
+    t_end: float = _key(10000.0, "positive")
+    record_every: int = _key(24, "ge1")
+    probe_ix: int = _key(0, "nonneg")
+    probe_iy: int = _key(0, "nonneg")
+    ic_amplitude: float = _key(1e-3, "nonneg")
+    ic_seed: int = _key(0, "u64")
+    snapshot_every: int = _key(0, "nonneg")
+    resume_from: str = ""
+    out_dir: str = "b4_out"
+    # time-series analysis
+    threshold: float = _key(1e-2, "nonneg")
+    m_max: int = _key(50, "ge2")
+    theiler: int | None = _key(None, "nonneg")
+    series_file: str = ""
+    series_column: str = _key("u", "column")
+    # dimension bounds and feasibility
+    N: int = _key(2, "n123")
+    K_prime: float = _key(1.0, "positive")
+    K1: float = _key(1.0, "positive")
+    C_upper: float = _key(1.0, "positive")
+    max_modes: int = _key(1000, "ge1")
+
+    def system_params(self):
+        return SystemParams(**{f.name: getattr(self, f.name) for f in fields(SystemParams)})
+
+    def grid(self):
+        # Nodes sit on the domain ends, so spacing is L/(n-1); a
+        # single-node direction keeps the full length as a placeholder.
+        dx = self.Lx / (self.nx - 1) if self.nx > 1 else self.Lx
+        dy = self.Ly / (self.ny - 1) if self.ny > 1 else self.Ly
+        return Grid(self.nx, self.ny, dx, dy, self.bc)
+
+    def analysis_config(self):
+        return AnalysisConfig(threshold=self.threshold, m_max=self.m_max, theiler=self.theiler)
+
+
+_KEYS = {f.name: f for f in fields(RunConfig)}
+
+
+def _convert(spec, raw):
+    """Parse one raw value for the key whose RunConfig field is ``spec``."""
+    name, kind = spec.name, spec.type
+    if isinstance(kind, types.UnionType):
+        if raw == "auto":
+            return None
+        kind, _ = typing.get_args(kind)
+    if kind is float:
         try:
             value = float(raw)
         except ValueError:
             raise ValueError(f"cannot parse {raw!r} as a number for {name}")
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {raw!r}")
-    elif spec.kind.startswith("int"):
+    elif kind is int:
         try:
             value = int(raw)
         except ValueError:
             raise ValueError(f"cannot parse {raw!r} as an integer for {name}")
     else:
         value = raw
-    if spec.check:
-        ok, message = _CHECKS[spec.check]
+    check = spec.metadata.get("check")
+    if check:
+        ok, message = _CHECKS[check]
         if not ok(value):
             raise ValueError(f"{name} {message}, got {raw!r}")
     return value
@@ -257,12 +212,10 @@ def parse_config(text):
         except KeyError:
             raise ConfigError(f"line {lineno}: unknown key {key!r}") from None
         try:
-            values[key] = _convert(key, spec, value.strip())
+            values[key] = _convert(spec, value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    merged = {name: getattr(_DEFAULTS, name) for name in _KEYS}
-    merged.update(values)
-    return RunConfig(**merged)
+    return RunConfig(**values)
 
 
 def serialize(config):
@@ -304,8 +257,27 @@ def _auto_dt(params, nx, ny, dx, dy):
     return min(1.0 / 24.0, stability_limit(params, ex, ey))
 
 
-def _snapshot_path(out, t):
-    return out / f"snapshot_{t:g}.csv"
+def _snapshot_name(t):
+    return f"snapshot_{t:g}.csv"
+
+
+def _check_snapshot_names(run, start_step, every):
+    """Raise ConfigError if two snapshot steps would share a file name.
+
+    The check runs from the last snapshot at or before start_step, which
+    a resumed run's directory already holds, to the run's last step.
+    The name rounds t to 6 significant digits, which keeps the order of
+    t, so only neighbouring snapshots can collide.
+    """
+    previous = None
+    for step_index in range(start_step - start_step % every, run.total_steps + 1, every):
+        name = _snapshot_name(step_index * run.dt)
+        if name == previous:
+            raise ConfigError(
+                f"snapshots at steps {step_index - every} and {step_index} "
+                f"(dt = {run.dt!r}) would both be written to {name}"
+            )
+        previous = name
 
 
 def _write_snapshot(path, state):
@@ -329,13 +301,12 @@ def run_simulate(config):
     bit-identical to an uninterrupted run.  Returns the written paths.
     """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     probe_path = out / "probe.csv"
     norms_path = out / "norms.csv"
     written = [probe_path, norms_path]
 
     def snapshot(state, step_index):
-        path = _snapshot_path(out, step_index * dt)
+        path = out / _snapshot_name(step_index * dt)
         _write_snapshot(path, state)
         written.append(path)
 
@@ -365,6 +336,9 @@ def run_simulate(config):
             record_every=config.record_every,
             probe=(config.probe_ix, config.probe_iy),
         )
+        if config.snapshot_every > 0:
+            _check_snapshot_names(run, start_step, config.snapshot_every)
+        out.mkdir(parents=True, exist_ok=True)
         if config.snapshot_every > 0 and not resuming:
             snapshot(state, 0)
         result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
@@ -378,7 +352,7 @@ def run_simulate(config):
         # The run that wrote the checkpoint has written this row already.
         records = records[1:]
     # Weight of the second oscillator pair in the paired-norm monitor.
-    delta = params.D2 / params.D4 if params.D4 > 0 else math.nan
+    delta = params.D2 / params.D4
     _write_csv(
         probe_path,
         ["t", "u", "v", "w", "z"],
@@ -496,7 +470,7 @@ def run_analyze(series_file, config):
     out.mkdir(parents=True, exist_ok=True)
     acfg = config.analysis_config()
 
-    acf = autocorrelation(x, min(acfg.max_lag, x.size - 1))
+    acf = autocorrelation(x, min(MAX_LAG, x.size - 1))
     acf_path = out / "acf.csv"
     _write_csv(acf_path, ["lag", "acf"], enumerate(acf.tolist()))
 
@@ -616,7 +590,7 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--out", help="output directory (overrides out_dir)")
-        p.add_argument("--seed", type=int, help="initial-condition seed (overrides ic_seed)")
+        p.add_argument("--seed", help="initial-condition seed (overrides ic_seed)")
     return parser
 
 
@@ -631,9 +605,15 @@ def main(argv=None):
         # single usage/config failure code and keep 0 for --help.
         return 0 if exc.code == 0 else 1
 
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("b4: --seed must fit in an unsigned 64-bit integer", file=sys.stderr)
-        return 1
+    overrides = {}
+    if args.out is not None:
+        overrides["out_dir"] = args.out
+    if args.seed is not None:
+        try:
+            overrides["ic_seed"] = _convert(_KEYS["ic_seed"], args.seed)
+        except ValueError as exc:
+            print(f"b4: --seed: {exc}", file=sys.stderr)
+            return 1
 
     try:
         text = Path(args.config).read_text()
@@ -646,11 +626,6 @@ def main(argv=None):
         print(f"b4: {exc}", file=sys.stderr)
         return 1
 
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["ic_seed"] = args.seed
     if overrides:
         config = replace(config, **overrides)
 

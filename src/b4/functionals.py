@@ -156,10 +156,12 @@ def check_conditions(A, theta2, sigma2, rho2):
     )
 
 
-GROWTH_CAP = 10**6
+GROWTH_CAP = 10**6  # growth steps allowed per condition before giving up
+FEASIBLE_GROWTH = 2.0  # factor applied to sigma2 or rho2 per growth step
+BISECT_STEPS = 50  # bisection steps that shrink a grown value back
 
 
-def feasible_triple(A, growth=2.0, bisect_steps=50):
+def feasible_triple(A):
     """Search for a generator triple satisfying all three conditions.
 
     theta2 is fixed at A12^2 + 1; sigma2 then grows geometrically until
@@ -183,15 +185,15 @@ def feasible_triple(A, growth=2.0, bisect_steps=50):
     sigma2 = A.A23**2 + 1.0
     steps = 0
     while lam_at(sigma2) < lam_target:
-        sigma2 *= growth
+        sigma2 *= FEASIBLE_GROWTH
         steps += 1
         if steps > GROWTH_CAP:
             raise InfeasibleError(
                 f"condition 2 not reached: lam={lam_at(sigma2):.3e}"
             )
     if steps:
-        lo, hi = sigma2 / growth, sigma2
-        for _ in range(bisect_steps):
+        lo, hi = sigma2 / FEASIBLE_GROWTH, sigma2
+        for _ in range(BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if lam_at(mid) >= lam_target:
                 hi = mid
@@ -210,15 +212,15 @@ def feasible_triple(A, growth=2.0, bisect_steps=50):
     rho2 = 1.0
     steps = 0
     while not margin3_ok(rho2):
-        rho2 *= growth
+        rho2 *= FEASIBLE_GROWTH
         steps += 1
         if steps > GROWTH_CAP:
             raise InfeasibleError(
                 f"condition 3 not reached: margins={check_conditions(A, theta2, sigma2, rho2)}"
             )
     if steps:
-        lo, hi = rho2 / growth, rho2
-        for _ in range(bisect_steps):
+        lo, hi = rho2 / FEASIBLE_GROWTH, rho2
+        for _ in range(BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if margin3_ok(mid):
                 hi = mid
@@ -453,6 +455,9 @@ def eval_Kp(state, p, D2, D4):
     return float(values.sum() * state.dx * state.dy)
 
 
+DECAY_TOLERANCE = 0.05  # relative excess over the plateau that still counts as settled
+
+
 @dataclass(frozen=True)
 class DecayReport:
     """Plateau detection for a monitored functional."""
@@ -462,13 +467,13 @@ class DecayReport:
     tail_max: float
 
 
-def decay_monitor(t, values, tolerance=0.05):
+def decay_monitor(t, values):
     """Decide whether a functional trace has settled onto a plateau.
 
     The trace is first reduced to its sup-envelope (block maxima), so a
     trajectory that keeps oscillating inside a bounded band still reads
     as settled.  The final quarter of the envelope is then compared
-    against its own median: staying within `tolerance` of it means the
+    against its own median: staying within DECAY_TOLERANCE of it means the
     trace is absorbed, and the median is reported as the plateau.
     """
     t = np.asarray(t, float)
@@ -481,5 +486,5 @@ def decay_monitor(t, values, tolerance=0.05):
     tail = envelope[3 * envelope.size // 4 :]
     plateau = float(np.median(tail))
     tail_max = float(np.max(tail))
-    absorbed = bool(np.isfinite(tail_max) and tail_max <= (1.0 + tolerance) * plateau)
+    absorbed = bool(np.isfinite(tail_max) and tail_max <= (1.0 + DECAY_TOLERANCE) * plateau)
     return DecayReport(absorbed=absorbed, plateau=plateau, tail_max=tail_max)

@@ -28,6 +28,7 @@ BLOWUP_LIMIT = 1e12
 
 _CHECKPOINT_MAGIC = b"B4CK"
 _CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = struct.Struct("<4sI10d2q2dBqd")
 _BC_CODES = {BC_NEUMANN: 0, BC_DIRICHLET0: 1}
 _BC_NAMES = {code: tag for tag, code in _BC_CODES.items()}
 _PARAM_ORDER = ("alpha", "beta", "D1", "D2", "D3", "D4", "a", "b", "c", "d")
@@ -75,6 +76,11 @@ class SolverConfig:
         ix, iy = self.probe
         if ix < 0 or iy < 0:
             raise ValueError("probe indices must be nonnegative")
+
+    @property
+    def total_steps(self):
+        """The step index of the last state: t_end over dt, to the nearest step."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -271,7 +277,7 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
     ix, iy = cfg.probe
     if not (0 <= ix < state0.nx and 0 <= iy < state0.ny):
         raise ValueError(f"probe {cfg.probe} outside the {state0.nx}x{state0.ny} grid")
-    total_steps = int(round(cfg.t_end / cfg.dt))
+    total_steps = cfg.total_steps
     if total_steps <= step_offset:
         raise ValueError(
             f"t_end {cfg.t_end:g} is not past the starting step {step_offset}"
@@ -322,8 +328,7 @@ def save_checkpoint(path, state, params, step_index, t):
     boundary code u8, step index i64, time double, then the four field
     arrays as raw row-major doubles.
     """
-    header = struct.pack(
-        "<4sI10d2q2dBqd",
+    header = _CHECKPOINT_HEADER.pack(
         _CHECKPOINT_MAGIC,
         _CHECKPOINT_VERSION,
         *(getattr(params, name) for name in _PARAM_ORDER),
@@ -342,13 +347,12 @@ def save_checkpoint(path, state, params, step_index, t):
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint: (state, params, step_index, t)."""
-    header_fmt = "<4sI10d2q2dBqd"
-    header_size = struct.calcsize(header_fmt)
+    header_size = _CHECKPOINT_HEADER.size
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < header_size:
         raise ValueError("checkpoint truncated")
-    parts = struct.unpack_from(header_fmt, raw)
+    parts = _CHECKPOINT_HEADER.unpack_from(raw)
     magic, version = parts[0], parts[1]
     if magic != _CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file")

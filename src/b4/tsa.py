@@ -18,31 +18,30 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
+# Fixed settings of the pipeline, and what each one bounds:
+MAX_LAG = 1000  # the autocorrelation lags searched for the 1/e delay
+WINDOW_FACTOR = 4.0  # the first embedding dimension tried, floor(WINDOW_FACTOR) + 1
+REFINE_SPAN = 10  # the embedding dimensions scanned past the Takens point
+RADII_COUNT = 40  # the log-spaced radii of each correlation integral
+R_LO_PERCENTILE = 1.0  # the smallest radius, as a pair-distance percentile
+R_HI_PERCENTILE = 50.0  # the largest radius, likewise
+PERCENTILE_SAMPLE = 500  # the points whose pair distances set those percentiles
+LYAP_MAX_STEPS = 50  # the divergence horizon, in embedded steps
+LYAP_MAX_REFS = 1000  # the reference points of the divergence curve
+LYAP_MIN_REFS = 10  # the fewest reference points with a usable neighbour
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
-    max_lag: int = 1000
-    window_factor: float = 4.0
     threshold: float = 1e-2
     m_max: int = 50
     theiler: int = None
     max_points: int = 20000
-    refine_span: int = 10
-    radii_count: int = 40
-    r_lo_percentile: float = 1.0
-    r_hi_percentile: float = 50.0
-    percentile_sample: int = 500
-    lyap_max_steps: int = 50
-    lyap_max_refs: int = 1000
-    lyap_min_refs: int = 10
     sample_interval: float = 1.0
 
     def __post_init__(self):
-        if self.max_lag < 1 or self.m_max < 2 or self.radii_count < 8:
+        if self.m_max < 2 or self.threshold < 0 or self.max_points < 10:
             raise ValueError("degenerate analysis configuration")
-        if self.threshold < 0 or self.max_points < 10:
-            raise ValueError("degenerate analysis configuration")
-        if not 0 <= self.r_lo_percentile < self.r_hi_percentile <= 100:
-            raise ValueError("percentiles must satisfy 0 <= lo < hi <= 100")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
 
@@ -260,10 +259,10 @@ def embedding_stride(length, config):
     return max(1, -(-length // config.max_points))
 
 
-def radii_grid(points, cfg):
+def radii_grid(points):
     """Log-spaced radii between pair-distance percentiles (max norm)."""
     M = points.shape[0]
-    k = min(M, cfg.percentile_sample)
+    k = min(M, PERCENTILE_SAMPLE)
     idx = np.unique(np.linspace(0, M - 1, k).astype(int))
     sub = points[idx]
     d = np.max(np.abs(sub[:, None, :] - sub[None, :, :]), axis=2)
@@ -271,13 +270,13 @@ def radii_grid(points, cfg):
     pairwise = pairwise[pairwise > 0]
     if pairwise.size == 0:
         raise ValueError("all sampled points coincide; no radius scale")
-    lo = float(np.percentile(pairwise, cfg.r_lo_percentile))
-    hi = float(np.percentile(pairwise, cfg.r_hi_percentile))
+    lo = float(np.percentile(pairwise, R_LO_PERCENTILE))
+    hi = float(np.percentile(pairwise, R_HI_PERCENTILE))
     if lo <= 0:
         lo = float(pairwise.min())
     if hi <= lo:
         hi = lo * 10.0
-    return np.geomspace(lo, hi, cfg.radii_count)
+    return np.geomspace(lo, hi, RADII_COUNT)
 
 
 def theiler_window(cfg, tau, m, stride=1):
@@ -302,14 +301,13 @@ def albano_dimension(series, config=None):
     """
     cfg = config if config is not None else AnalysisConfig()
     x = np.asarray(series, dtype=float).ravel()
-    max_lag = min(cfg.max_lag, x.size - 1)
-    tau = select_delay(autocorrelation(x, max_lag))
+    tau = select_delay(autocorrelation(x, min(MAX_LAG, x.size - 1)))
     stride = embedding_stride(x.size, cfg)
 
     def evaluate(m):
         emb = embed(x, m, tau, stride)
         coords, kept, sigma = svd_reduce(emb, cfg.threshold)
-        radii = radii_grid(coords, cfg)
+        radii = radii_grid(coords)
         C = correlation_integral(coords, radii, theiler_window(cfg, tau, m, stride))
         fit = correlation_dimension(radii, C)
         return DimensionReport(
@@ -326,7 +324,7 @@ def albano_dimension(series, config=None):
             C=C,
         )
 
-    m = max(2, int(math.floor(cfg.window_factor)) + 1)
+    m = int(WINDOW_FACTOR) + 1
     while True:
         best = evaluate(m)
         if m > 2.0 * best.d + 1.0:
@@ -336,7 +334,7 @@ def albano_dimension(series, config=None):
             return best
         m = next_m
 
-    for trial in range(m + 1, min(m + cfg.refine_span, cfg.m_max) + 1):
+    for trial in range(m + 1, min(m + REFINE_SPAN, cfg.m_max) + 1):
         try:
             candidate = evaluate(trial)
         except ValueError:
@@ -363,11 +361,11 @@ def largest_lyapunov(series, embed_params, config=None):
     if M < 200:
         raise ValueError("need at least 200 embedded points")
     theiler = theiler_window(cfg, tau, m, stride)
-    kmax = min(cfg.lyap_max_steps, M // 4)
+    kmax = min(LYAP_MAX_STEPS, M // 4)
     limit = M - kmax
     if limit < 2:
         raise ValueError("series too short for the divergence horizon")
-    n_refs = min(limit, cfg.lyap_max_refs)
+    n_refs = min(limit, LYAP_MAX_REFS)
     refs = np.unique(np.linspace(0, limit - 1, n_refs).astype(int))
     # Periodic signals revisit states to within rounding noise; pairing
     # with such near-duplicates would track arithmetic noise instead of
@@ -392,7 +390,7 @@ def largest_lyapunov(series, embed_params, config=None):
             continue
         log_sums += np.log(sep)
         used += 1
-    if used < cfg.lyap_min_refs:
+    if used < LYAP_MIN_REFS:
         raise ValueError(
             f"only {used} reference points found usable neighbors; "
             "need a longer or less correlated series"

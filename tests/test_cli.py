@@ -19,7 +19,8 @@ from b4.cli import (
     run_simulate,
     serialize,
 )
-from b4.model import SystemParams
+from b4.model import SystemParams, stationary_solution
+from b4.solver import Grid, initial_condition, save_checkpoint
 from b4.spectral import dimension_bounds
 
 
@@ -78,6 +79,16 @@ def test_parse_errors_name_the_line():
         parse_config("N = 4")
 
 
+def test_exchange_rates_must_be_positive(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="line 1.*positive"):
+        parse_config("D1 = 0")
+    cfg = tmp_path / "d1.cfg"
+    cfg.write_text(f"D1 = 0\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "D1 must be positive" in err and "numerical failure" not in err
+
+
 def test_grid_spacing_puts_nodes_on_the_ends():
     cfg = parse_config("nx = 201\nny = 1\nLx = 200\n")
     grid = cfg.grid()
@@ -128,6 +139,31 @@ def test_run_simulate_snapshots(tmp_path):
     assert header == ["x", "y", "u", "v", "w", "z"]
     assert len(body) == 64
     assert float(body[1][0]) == 1.0  # x spacing 63/63
+
+
+def test_run_simulate_rejects_colliding_snapshot_names(tmp_path, capsys):
+    # Past t = 1e4 the 6-digit name no longer tells 10000 from 10000.04.
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"nx = 1\nny = 1\ndt = 0.04\nt_end = 10001\nsnapshot_every = 1\nout_dir = {out}\n"
+    )
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "snapshot_10000.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+    # A resume from step 1000001 must not overwrite the snapshot of step
+    # 1000000 (t = 10000) with that of step 1000004 (t = 10000.04).
+    params = SystemParams()
+    state = initial_condition(Grid(1, 1, 1.0, 1.0), stationary_solution(params), 0.0, 0)
+    ck = tmp_path / "late.ck"
+    save_checkpoint(ck, state, params, 1000001, 1000001 * 0.01)
+    resume = parse_config(
+        "nx = 1\nny = 1\nLx = 1\nLy = 1\ndt = 0.01\nt_end = 10000.04\n"
+        f"snapshot_every = 4\nresume_from = {ck}\nout_dir = {out}\n"
+    )
+    with pytest.raises(ConfigError, match="steps 1000000 and 1000004"):
+        run_simulate(resume)
 
 
 def test_run_simulate_is_deterministic(tmp_path):
