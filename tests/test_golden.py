@@ -1,7 +1,8 @@
-"""Golden SHA-256 digests of the solver and ``simulate`` outputs.
+"""Golden SHA-256 digests of the solver, ``simulate`` and ``analyze`` outputs.
 
 The digests pin outputs bit for bit, so a refactor of the solver, the
-stencil or the CSV writers must leave every value here unchanged.  They
+stencil, the pair count or the CSV writers must leave every value here
+unchanged.  They
 were taken with numpy 2.4.6; another numpy build may round some ufunc
 differently and legitimately need new digests.
 """
@@ -10,7 +11,9 @@ import hashlib
 import shutil
 from dataclasses import replace
 
-from b4.cli import parse_config, run_simulate
+import numpy as np
+
+from b4.cli import parse_config, run_analyze, run_simulate
 from b4.model import SystemParams, stationary_solution
 from b4.solver import Grid, SolverConfig, initial_condition, simulate
 
@@ -69,6 +72,15 @@ SHEET_RUN_SHA256 = {
 CHAIN_PROBE_SHA256 = "c93ae15593e95edbbbd996ae1cb578930f8fe006c461e49c0e9e251a16f7fdd7"
 CHAIN_FINAL_SHA256 = "4ccc26defbd4fad6e06d4fc9aa9d6f1f9a98db872cadbea5dc07f3b7b7070d31"
 
+# The x coordinate of the Henon map from a seeded start, rounded to
+# three decimals so that the embedding holds repeated vectors and tied
+# pair distances.
+HENON_ANALYZE_SHA256 = {
+    "acf.csv": "70e1b9f7cc31ba761b27e6fe50b2351aa68c9acfc0f449f3859ea15f00cd3c1a",
+    "cint.csv": "0b3bd5995a6f45f53098408b0616755056fb2feba9ad90e41a1ecb6b4ebf572e",
+    "report.csv": "b0546f1c81fe70e9ea51f78a634cd21ced671ade8b94c80621c05168a15012e0",
+}
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -106,3 +118,22 @@ def test_chain_probe_series_and_final_fields_are_pinned():
     assert sha256(result.probe_series.tobytes()) == CHAIN_PROBE_SHA256
     final = b"".join(f.tobytes() for f in result.final_state.fields())
     assert sha256(final) == CHAIN_FINAL_SHA256
+
+
+def henon_series(n, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-0.1, 0.1, 2)
+    out = np.empty(n + 100)
+    for i in range(out.size):
+        x, y = 1.0 - 1.4 * x * x + y, 0.3 * x
+        out[i] = x
+    return np.round(out[100:], 3)
+
+
+def test_analyze_outputs_are_pinned(tmp_path):
+    x = henon_series(1500, seed=2)
+    t = np.arange(x.size) * 0.5
+    series = tmp_path / "henon.csv"
+    series.write_text("t,u\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, x)))
+    config = parse_config(f"out_dir = {tmp_path / 'an'}\n")
+    assert digests(run_analyze(series, config)) == HENON_ANALYZE_SHA256
