@@ -398,7 +398,8 @@ def _read_series(path, column):
 
     Accepts a headered CSV (column picked by name, spacing taken from a
     ``t`` column when present) or a headerless single-column file.
-    Non-numeric data raises ConfigError naming the offending row.
+    Non-numeric or non-finite data raises ConfigError naming the
+    offending row.
     """
     try:
         text = Path(path).read_text()
@@ -445,6 +446,12 @@ def _read_series(path, column):
             raise ConfigError(
                 f"{path} row {lineno}: non-numeric value in {line!r}"
             ) from None
+    finite = np.isfinite(values)
+    if times is not None:
+        finite &= np.isfinite(times)
+    if not finite.all():
+        lineno, line = data[int(np.argmin(finite))]
+        raise ConfigError(f"{path} row {lineno}: non-finite value in {line!r}")
 
     interval = 1.0
     if times is not None and times.size >= 2:

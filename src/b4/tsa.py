@@ -29,6 +29,7 @@ PERCENTILE_SAMPLE = 500  # the points whose pair distances set those percentiles
 LYAP_MAX_STEPS = 50  # the divergence horizon, in embedded steps
 LYAP_MAX_REFS = 1000  # the reference points of the divergence curve
 LYAP_MIN_REFS = 10  # the fewest reference points with a usable neighbour
+PAIR_BLOCK = 16  # the reference points whose pair distances are sorted together
 
 
 @dataclass(frozen=True)
@@ -175,18 +176,38 @@ def svd_reduce(Y, threshold):
     return centered @ evecs[:, kept], kept_count, sigma
 
 
-def correlation_integral(points, radii, theiler_window=0):
-    """Fraction of point pairs within each radius (max norm).
+def _max_distances(coords, rows, cols):
+    """Max-norm distances, shape (rows, cols), between two slices of points.
 
-    Pairs closer than theiler_window in time are excluded from the
-    count; the denominator stays the full pair count M(M-1)/2.
+    ``coords`` holds one coordinate per row, shape (m, M).
+    """
+    first, *rest = coords
+    d = np.abs(first[cols] - first[rows, None])
+    diff = np.empty_like(d)
+    for x in rest:
+        np.subtract(x[cols], x[rows, None], out=diff)
+        np.abs(diff, out=diff)
+        np.maximum(d, diff, out=d)
+    return d
+
+
+def correlation_integral(points, radii, theiler_window=0):
+    """Fraction of point pairs closer than each radius (max norm, d < r).
+
+    Pairs i < j with j - i <= theiler_window are excluded from the
+    count; the denominator stays the full pair count M(M-1)/2.  Pairs
+    are counted PAIR_BLOCK reference points at a time: the block's
+    distances to all later points are sorted once, and each radius
+    reads its count off by bisection.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValueError("points must be an (M, m) array with m >= 1")
     radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or np.any(radii <= 0):
-        raise ValueError("radii must be positive")
+    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ValueError("radii must be finite and positive")
     if np.any(np.diff(radii) < 0):
         raise ValueError("radii must be ascending")
     if theiler_window < 0:
@@ -195,12 +216,18 @@ def correlation_integral(points, radii, theiler_window=0):
     gap = theiler_window + 1
     if M - gap < 1:
         raise ValueError("no usable pairs outside the Theiler window")
-    counts = np.zeros(radii.size + 1, dtype=np.int64)
-    for i in range(M - gap):
-        d = np.max(np.abs(pts[i + gap :] - pts[i]), axis=1)
-        bins = np.searchsorted(radii, d, side="right")
-        counts += np.bincount(bins, minlength=radii.size + 1)
-    below = np.cumsum(counts)[: radii.size]
+    coords = np.ascontiguousarray(pts.T)
+    # Row a of a block is point start + a and column b is point
+    # start + gap + b, so the pairs with b < a lie inside the Theiler band.
+    band = np.tri(PAIR_BLOCK, k=-1, dtype=bool)
+    below = np.zeros(radii.size, dtype=np.int64)
+    for start in range(0, M - gap, PAIR_BLOCK):
+        n = min(PAIR_BLOCK, M - gap - start)
+        d = _max_distances(coords, slice(start, start + n), slice(start + gap, M))
+        d[:, :n][band[:n, :n]] = np.inf
+        d = d.ravel()
+        d.sort()
+        below += np.searchsorted(d, radii, side="left")
     return below / (M * (M - 1) / 2.0)
 
 
@@ -264,8 +291,8 @@ def radii_grid(points):
     M = points.shape[0]
     k = min(M, PERCENTILE_SAMPLE)
     idx = np.unique(np.linspace(0, M - 1, k).astype(int))
-    sub = points[idx]
-    d = np.max(np.abs(sub[:, None, :] - sub[None, :, :]), axis=2)
+    sub = np.ascontiguousarray(points[idx].T)
+    d = _max_distances(sub, slice(None), slice(None))
     pairwise = d[np.triu_indices(idx.size, 1)]
     pairwise = pairwise[pairwise > 0]
     if pairwise.size == 0:

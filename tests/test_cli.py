@@ -328,6 +328,12 @@ def test_run_analyze_input_errors(tmp_path):
     with pytest.raises(ConfigError, match="single column"):
         run_analyze(multi, cfg)
 
+    for row in ("1,nan", "1,inf", "1,-inf", "nan,1.0"):
+        non_finite = tmp_path / "non_finite.csv"
+        non_finite.write_text(f"t,u\n0,1.0\n{row}\n2,2.0\n")
+        with pytest.raises(ConfigError, match=f"row 3: non-finite value in '{row}'"):
+            run_analyze(non_finite, cfg)
+
 
 def test_run_bounds_matches_library_call(tmp_path):
     cfg = parse_config(f"max_modes = 150\nout_dir = {tmp_path}\n")

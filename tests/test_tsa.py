@@ -186,6 +186,9 @@ def test_correlation_integral_guards():
         correlation_integral(pts, [2.0, 1.0], 0)
     with pytest.raises(ValueError):
         correlation_integral(pts, [1.0], 4)
+    for radii in ([np.nan], [np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            correlation_integral(pts, radii, 0)
 
 
 def circle_points(n, seed=7):
