@@ -16,6 +16,7 @@ import numpy as np
 from b4.cli import parse_config, run_analyze, run_simulate
 from b4.model import SystemParams, stationary_solution
 from b4.solver import Grid, SolverConfig, initial_condition, simulate
+from b4.tsa import AnalysisConfig, albano_dimension, embedding_stride, largest_lyapunov
 
 # The byte-identity run of the acceptance suite.
 SMALL_RUN = """
@@ -81,6 +82,13 @@ HENON_ANALYZE_SHA256 = {
     "report.csv": "b0546f1c81fe70e9ea51f78a634cd21ced671ade8b94c80621c05168a15012e0",
 }
 
+# d, fit_r2, the kept singular values and lambda1, then the radii and C
+# of the chosen fit, for the x coordinate of the Lorenz flow sampled
+# every 0.05 time units.  max_points = 500 embeds every third of the
+# 1,500 samples, and the divergence curve rises for 18 embedded steps
+# before it saturates, so lambda1 is fitted on the rising branch.
+LORENZ_STRIDED_SHA256 = "bf5156ed46ab07e82feed3f7a1d3e2d416c0304ff77b7803e01f572ddfff0f09"
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -137,3 +145,41 @@ def test_analyze_outputs_are_pinned(tmp_path):
     series.write_text("t,u\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, x)))
     config = parse_config(f"out_dir = {tmp_path / 'an'}\n")
     assert digests(run_analyze(series, config)) == HENON_ANALYZE_SHA256
+
+
+def lorenz_series(n, seed, spacing=0.05, substeps=5):
+    rng = np.random.default_rng(seed)
+    state = np.array([1.0, 1.0, 20.0]) + rng.uniform(-1.0, 1.0, 3)
+
+    def rate(s):
+        x, y, z = s
+        return np.array([10.0 * (y - x), x * (28.0 - z) - y, x * y - 8.0 / 3.0 * z])
+
+    h = spacing / substeps
+    out = np.empty(n + 200)
+    for i in range(out.size):
+        for _ in range(substeps):
+            k1 = rate(state)
+            k2 = rate(state + 0.5 * h * k1)
+            k3 = rate(state + 0.5 * h * k2)
+            k4 = rate(state + h * k3)
+            state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i] = state[0]
+    return out[200:]
+
+
+def test_strided_estimates_are_pinned():
+    spacing = 0.05
+    x = lorenz_series(1500, seed=1, spacing=spacing)
+    cfg = AnalysisConfig(max_points=500)
+    report = albano_dimension(x, cfg)
+    stride = embedding_stride(x.size, cfg)
+    lam = largest_lyapunov(
+        x,
+        (report.m_used, report.tau, stride),
+        AnalysisConfig(max_points=500, sample_interval=spacing * stride),
+    )
+    assert stride == 3
+    values = np.array([report.d, report.fit_r2, *report.singular_values, lam])
+    data = b"".join(a.tobytes() for a in (values, report.radii, report.C))
+    assert sha256(data) == LORENZ_STRIDED_SHA256
