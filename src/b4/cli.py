@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from .functionals import (
-    InfeasibleError,
     brqp_matrix,
     coupling_constants,
     feasible_triple,
@@ -48,7 +47,6 @@ from .functionals import (
 )
 from .model import BC_NEUMANN, BC_TAGS, SystemParams, stationary_solution
 from .solver import (
-    BlowUpError,
     Grid,
     SolverConfig,
     initial_condition,
@@ -58,14 +56,7 @@ from .solver import (
     stability_limit,
 )
 from .spectral import dimension_bounds
-from .tsa import (
-    MAX_LAG,
-    AnalysisConfig,
-    albano_dimension,
-    autocorrelation,
-    embedding_stride,
-    largest_lyapunov,
-)
+from .tsa import AnalysisConfig, albano_dimension, largest_lyapunov
 
 
 class ConfigError(ValueError):
@@ -475,14 +466,9 @@ def run_analyze(series_file, config):
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    acfg = config.analysis_config()
-
-    acf = autocorrelation(x, min(MAX_LAG, x.size - 1))
+    report = albano_dimension(x, config.analysis_config())
     acf_path = out / "acf.csv"
-    _write_csv(acf_path, ["lag", "acf"], enumerate(acf.tolist()))
-
-    report = albano_dimension(x, acfg)
-    stride = embedding_stride(x.size, acfg)
+    _write_csv(acf_path, ["lag", "acf"], enumerate(report.acf.tolist()))
     cint_path = out / "cint.csv"
     cint_rows = [
         (r, c, math.log10(r), math.log10(c) if c > 0 else math.nan)
@@ -490,9 +476,7 @@ def run_analyze(series_file, config):
     ]
     _write_csv(cint_path, ["r", "C", "log10_r", "log10_C"], cint_rows)
 
-    lyap_cfg = replace(acfg, sample_interval=file_dt * stride)
-    lam = largest_lyapunov(x, (report.m_used, report.tau, stride), lyap_cfg)
-
+    lam = largest_lyapunov(report.embedding, file_dt, config.theiler)
     report_path = out / "report.csv"
     r_lo, r_hi = report.scaling_region
     _write_csv(

@@ -36,15 +36,14 @@ PAIR_BLOCK = 16  # the reference points whose pair distances are sorted together
 class AnalysisConfig:
     threshold: float = 1e-2
     m_max: int = 50
-    theiler: int = None
+    theiler: int | None = None
     max_points: int = 20000
-    sample_interval: float = 1.0
 
     def __post_init__(self):
         if self.m_max < 2 or self.threshold < 0 or self.max_points < 10:
             raise ValueError("degenerate analysis configuration")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
+        if self.theiler is not None and self.theiler < 0:
+            raise ValueError("theiler must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -68,20 +67,30 @@ class ScalingFit:
 class DimensionReport:
     """The dimension fit at the chosen embedding dimension m_used.
 
-    radii and C are the correlation integral that the fit was made on.
+    acf is the autocorrelation that the delay tau was read from,
+    embedding the delay matrix that the fit was made on, and radii and
+    C its correlation integral.
     """
 
     d: float
-    m_used: int
     scaling_region: tuple
     fit_r2: float
     singular_values: tuple
     takens_ok: bool
-    tau: int
     kept_count: int
     low_confidence: bool
+    acf: np.ndarray
+    embedding: EmbeddingMatrix
     radii: np.ndarray
     C: np.ndarray
+
+    @property
+    def m_used(self):
+        return self.embedding.m
+
+    @property
+    def tau(self):
+        return self.embedding.tau
 
 
 def autocorrelation(series, max_lag):
@@ -279,13 +288,6 @@ def correlation_dimension(radii, C):
     return ScalingFit(max(slope, 0.0), region, r2, r2 < 0.95)
 
 
-def embedding_stride(length, config):
-    """Embedding stride that keeps vector counts near config.max_points."""
-    if length <= 0:
-        raise ValueError("series length must be positive")
-    return max(1, -(-length // config.max_points))
-
-
 def radii_grid(points):
     """Log-spaced radii between pair-distance percentiles (max norm)."""
     M = points.shape[0]
@@ -306,15 +308,15 @@ def radii_grid(points):
     return np.geomspace(lo, hi, RADII_COUNT)
 
 
-def theiler_window(cfg, tau, m, stride=1):
+def theiler_window(embedding, override):
     """Exclusion window in embedded-vector index units.
 
     The default tau*m is a span in samples; with a strided embedding
     it shrinks accordingly.  An explicit override is taken verbatim.
     """
-    if cfg.theiler is not None:
-        return cfg.theiler
-    return -(-(tau * m) // stride)
+    if override is not None:
+        return override
+    return -(-(embedding.tau * embedding.m) // embedding.l)
 
 
 def albano_dimension(series, config=None):
@@ -324,29 +326,31 @@ def albano_dimension(series, config=None):
     projection, correlation dimension, then embedding growth until the
     Takens condition m > 2d+1 holds, followed by a refinement scan
     keeping the best-fitting m.  Hitting m_max returns the last fit
-    with takens_ok=False instead of raising.
+    with takens_ok=False instead of raising.  The embedding takes every
+    l-th sample, l chosen to keep about max_points vectors.
     """
     cfg = config if config is not None else AnalysisConfig()
     x = np.asarray(series, dtype=float).ravel()
-    tau = select_delay(autocorrelation(x, min(MAX_LAG, x.size - 1)))
-    stride = embedding_stride(x.size, cfg)
+    acf = autocorrelation(x, min(MAX_LAG, x.size - 1))
+    tau = select_delay(acf)
+    stride = max(1, -(-x.size // cfg.max_points))
 
     def evaluate(m):
         emb = embed(x, m, tau, stride)
         coords, kept, sigma = svd_reduce(emb, cfg.threshold)
         radii = radii_grid(coords)
-        C = correlation_integral(coords, radii, theiler_window(cfg, tau, m, stride))
+        C = correlation_integral(coords, radii, theiler_window(emb, cfg.theiler))
         fit = correlation_dimension(radii, C)
         return DimensionReport(
             d=fit.d,
-            m_used=m,
             scaling_region=fit.scaling_region,
             fit_r2=fit.fit_r2,
             singular_values=tuple(float(s) for s in sigma[:kept]),
             takens_ok=False,
-            tau=tau,
             kept_count=kept,
             low_confidence=fit.low_confidence,
+            acf=acf,
+            embedding=emb,
             radii=radii,
             C=C,
         )
@@ -371,23 +375,24 @@ def albano_dimension(series, config=None):
     return replace(best, takens_ok=best.m_used >= 2.0 * best.d + 1.0)
 
 
-def largest_lyapunov(series, embed_params, config=None):
+def largest_lyapunov(embedding, sample_interval=1.0, theiler=None):
     """Largest Lyapunov exponent from nearest-neighbor divergence.
 
-    Each reference point is paired with its nearest neighbor outside
-    the Theiler window; the mean log-separation is tracked forward and
-    the slope of its initial linear stretch (before the curve comes
-    within 0.7 nats of saturation) divided by the sample interval is
-    returned.
+    Each row of the embedding is a reference point, paired with its
+    nearest neighbor outside the Theiler window (theiler_window's
+    default when theiler is None); the mean log-separation is tracked
+    forward and the slope of its initial linear stretch (before the
+    curve comes within 0.7 nats of saturation) is returned per unit of
+    series time.  sample_interval is the spacing of the series, so one
+    embedded step spans sample_interval * embedding.l.
     """
-    cfg = config if config is not None else AnalysisConfig()
-    m, tau = int(embed_params[0]), int(embed_params[1])
-    stride = int(embed_params[2]) if len(embed_params) > 2 else 1
-    Y = embed(series, m, tau, stride).rows
+    if sample_interval <= 0 or (theiler is not None and theiler < 0):
+        raise ValueError("sample_interval must be positive and theiler nonnegative")
+    Y = embedding.rows
     M = Y.shape[0]
     if M < 200:
         raise ValueError("need at least 200 embedded points")
-    theiler = theiler_window(cfg, tau, m, stride)
+    theiler = theiler_window(embedding, theiler)
     kmax = min(LYAP_MAX_STEPS, M // 4)
     limit = M - kmax
     if limit < 2:
@@ -438,4 +443,4 @@ def largest_lyapunov(series, embed_params, config=None):
         lo_k, hi_k = 0, kmax
     ks = np.arange(lo_k, hi_k + 1, dtype=float)
     slope = np.polyfit(ks, mean_ln[lo_k : hi_k + 1], 1)[0]
-    return float(slope / cfg.sample_interval)
+    return float(slope / (sample_interval * embedding.l))

@@ -61,7 +61,7 @@ from b4.tsa import (
     albano_dimension,
     correlation_dimension,
     correlation_integral,
-    embedding_stride,
+    embed,
     largest_lyapunov,
 )
 
@@ -311,15 +311,8 @@ def probe_window(result, t_lo, sub):
 
 
 def dimension_and_rate(x, spacing):
-    cfg = AnalysisConfig(max_points=6000, sample_interval=spacing)
-    report = albano_dimension(x, cfg)
-    stride = embedding_stride(x.size, cfg)
-    lam = largest_lyapunov(
-        x,
-        (report.m_used, report.tau, stride),
-        replace(cfg, sample_interval=spacing * stride),
-    )
-    return report.d, lam
+    report = albano_dimension(x, AnalysisConfig(max_points=6000))
+    return report.d, largest_lyapunov(report.embedding, spacing)
 
 
 def test_uniform_cycle_versus_spatially_coupled_chaos():
@@ -358,7 +351,7 @@ def test_estimator_calibration_on_known_signals():
     report = albano_dimension(tone, AnalysisConfig(max_points=1500, threshold=1e-2))
     assert abs(report.d - 1.0) <= 0.15
     assert report.kept_count == 2
-    lam_tone = largest_lyapunov(tone, (5, report.tau))
+    lam_tone = largest_lyapunov(embed(tone, 5, report.tau))
     assert abs(lam_tone) <= 0.02
 
     # independent planar noise fills the square
@@ -376,7 +369,7 @@ def test_estimator_calibration_on_known_signals():
         x = 4.0 * x * (1.0 - x)
     series = series[100:]
     oracle = float(np.mean(np.log(np.abs(4.0 - 8.0 * series))))
-    lam_map = largest_lyapunov(series, (2, 1))
+    lam_map = largest_lyapunov(embed(series, 2, 1))
     assert abs(lam_map - oracle) <= 0.05
     assert abs(lam_map - math.log(2.0)) <= 0.05
 

@@ -1,13 +1,15 @@
 import dataclasses
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from b4 import cli
+from b4 import cli, tsa
 from b4.cli import (
     ConfigError,
     RunConfig,
@@ -266,6 +268,25 @@ def test_run_analyze_sine_outputs(tmp_path):
     assert 0.0 < row["r_lo"] < row["r_hi"]
 
 
+def test_run_analyze_computes_each_result_once(tmp_path, monkeypatch):
+    calls = dict.fromkeys(("autocorrelation", "embed", "correlation_integral"), 0)
+    for name in calls:
+        original = getattr(tsa, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in (tsa, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    series = tmp_path / "sine.csv"
+    sine_file(series, n=2500)
+    run_analyze(series, parse_config(f"out_dir = {tmp_path / 'an'}\n"))
+    assert calls["autocorrelation"] == 1
+    assert calls["embed"] == calls["correlation_integral"] > 0
+
+
 def test_run_analyze_scales_lyapunov_by_sample_interval(tmp_path):
     fast = tmp_path / "fast.csv"
     slow = tmp_path / "slow.csv"
@@ -448,10 +469,14 @@ def test_thread_cap(monkeypatch):
 
 
 def test_module_entry_point():
+    # The child must import the b4 under test, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "b4.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

@@ -16,7 +16,7 @@ import numpy as np
 from b4.cli import parse_config, run_analyze, run_simulate
 from b4.model import SystemParams, stationary_solution
 from b4.solver import Grid, SolverConfig, initial_condition, simulate
-from b4.tsa import AnalysisConfig, albano_dimension, embedding_stride, largest_lyapunov
+from b4.tsa import AnalysisConfig, albano_dimension, largest_lyapunov
 
 # The byte-identity run of the acceptance suite.
 SMALL_RUN = """
@@ -171,15 +171,9 @@ def lorenz_series(n, seed, spacing=0.05, substeps=5):
 def test_strided_estimates_are_pinned():
     spacing = 0.05
     x = lorenz_series(1500, seed=1, spacing=spacing)
-    cfg = AnalysisConfig(max_points=500)
-    report = albano_dimension(x, cfg)
-    stride = embedding_stride(x.size, cfg)
-    lam = largest_lyapunov(
-        x,
-        (report.m_used, report.tau, stride),
-        AnalysisConfig(max_points=500, sample_interval=spacing * stride),
-    )
-    assert stride == 3
+    report = albano_dimension(x, AnalysisConfig(max_points=500))
+    lam = largest_lyapunov(report.embedding, spacing)
+    assert report.embedding.l == 3
     values = np.array([report.d, report.fit_r2, *report.singular_values, lam])
     data = b"".join(a.tobytes() for a in (values, report.radii, report.C))
     assert sha256(data) == LORENZ_STRIDED_SHA256

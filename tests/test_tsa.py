@@ -281,7 +281,7 @@ def test_largest_lyapunov_logistic_map():
     x = logistic_series(3000)
     oracle = float(np.mean(np.log(np.abs(4.0 - 8.0 * x))))
     assert oracle == pytest.approx(math.log(2.0), abs=0.01)
-    lam = largest_lyapunov(x, (2, 1))
+    lam = largest_lyapunov(embed(x, 2, 1))
     assert lam == pytest.approx(oracle, abs=0.05)
     assert lam == pytest.approx(0.693, abs=0.05)
 
@@ -290,32 +290,37 @@ def test_largest_lyapunov_direction_sensitivity():
     # divergence is directional: the reversed orbit of a two-to-one map
     # splits into preimage branches and separates at a different rate
     x = logistic_series(3000)
-    forward = largest_lyapunov(x, (2, 1))
-    backward = largest_lyapunov(x[::-1], (2, 1))
+    forward = largest_lyapunov(embed(x, 2, 1))
+    backward = largest_lyapunov(embed(x[::-1], 2, 1))
     assert abs(forward - backward) > 0.1
 
 
 def test_largest_lyapunov_sine_is_zero():
-    lam = largest_lyapunov(sine_series(3000), (5, 20))
+    lam = largest_lyapunov(embed(sine_series(3000), 5, 20))
     assert abs(lam) < 0.02
 
 
 def test_largest_lyapunov_flat_series_is_zero():
     rng = np.random.default_rng(10)
     x = 1.0 + 1e-9 * rng.uniform(-1, 1, 2000)
-    lam = largest_lyapunov(x, (3, 1))
+    lam = largest_lyapunov(embed(x, 3, 1))
     assert abs(lam) < 0.02
 
 
 def test_largest_lyapunov_sample_interval_scaling():
     x = logistic_series(2000)
-    per_step = largest_lyapunov(x, (2, 1))
-    per_time = largest_lyapunov(x, (2, 1), AnalysisConfig(sample_interval=0.5))
+    per_step = largest_lyapunov(embed(x, 2, 1))
+    per_time = largest_lyapunov(embed(x, 2, 1), 0.5)
     assert per_time == pytest.approx(2.0 * per_step, rel=1e-12)
 
 
 def test_largest_lyapunov_guards():
     with pytest.raises(ValueError):
-        largest_lyapunov(np.sin(np.arange(150.0)), (2, 1))
+        largest_lyapunov(embed(np.sin(np.arange(150.0)), 2, 1))
     with pytest.raises(ValueError):
-        largest_lyapunov(logistic_series(1000), (2, 1), AnalysisConfig(theiler=5000))
+        largest_lyapunov(embed(logistic_series(1000), 2, 1), theiler=5000)
+    with pytest.raises(ValueError, match="theiler must be nonnegative"):
+        AnalysisConfig(theiler=-5)
+    for bad in ({"sample_interval": 0.0}, {"theiler": -5}):
+        with pytest.raises(ValueError):
+            largest_lyapunov(embed(logistic_series(1000), 2, 1), **bad)
