@@ -488,7 +488,16 @@ def run_analyze(series_file, config):
 
 
 def run_bounds(config):
-    """Write the attractor-dimension bracket for the configured system."""
+    """Write the attractor-dimension bracket for the configured system.
+
+    The mode census linearizes about the uniform equilibrium, which
+    exists only with no-flux walls, so bc must be neumann.
+    """
+    if config.bc != BC_NEUMANN:
+        raise ConfigError(
+            f"bc = {config.bc}: bounds needs bc = {BC_NEUMANN}, since under "
+            f"{config.bc} the uniform state is not an equilibrium"
+        )
     params = config.system_params()
     one_d = config.N == 1
     report = dimension_bounds(

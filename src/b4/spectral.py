@@ -6,18 +6,32 @@ side by side: the positive-trace criterion and the full eigenvalue
 check.  The first implies the second, never the reverse, so both are
 reported rather than silently picking one.
 
+The full check runs piecewise in mu.  The characteristic polynomial's
+coefficients c1..c4 are exact polynomials in mu, and stability can only
+change where c1, c3, c4 or the Routh-Hurwitz determinant c1 c2 c3 -
+c3^2 - c1^2 c4 crosses zero.  The pieces between those roots each get
+one eigenvalue test at their midpoint; only the modes where c4 or the
+determinant is within rounding of zero are tested one by one.  The
+count is the one an eigenvalue test of every mode gives.
+
 Bound formulas accept exact rational inputs: with Fraction-valued
 parameters and even N the lower-bound base stays a Fraction.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .model import validate_params
 
 EIG_RESIDUAL_REL = 1e-8
+# Modes where |c4| or the Hurwitz determinant falls below this share of
+# size^4 or size^6 get their own eigenvalue test; size bounds every
+# eigenvalue's modulus.  About 5e4 machine epsilons: the census tests
+# already pass from 1e-16 on, and fail at 0.
+EDGE_ROUNDING = 1e-11
 
 
 @dataclass(frozen=True)
@@ -112,11 +126,47 @@ def _trace_bracket(params):
     )
 
 
+def _characteristic_polynomials(base, rates):
+    """c1..c4 of det(lam I - M(mu)) for M(mu) = base - mu diag(rates).
+
+    c_k is (-1)^k times the sum of the k-by-k principal minors of
+    M(mu).  With the ramp diagonal, the minor on an index set S expands
+    over the subsets T of S as the sum of (-mu)^|T| prod(rates[T])
+    det(base[S minus T]), so each coefficient in mu is exact algebra on
+    the principal minors of base, not a fit.
+    """
+    # Imported here: numpy.polynomial adds about 4 ms to every b4
+    # start-up, and only the census uses it.
+    from numpy.polynomial import Polynomial
+
+    n = len(rates)
+    minors = {(): 1.0}
+    for k in range(1, n + 1):
+        for S in combinations(range(n), k):
+            minors[S] = np.linalg.det(base[np.ix_(S, S)])
+    coef = np.zeros((n + 1, n + 1))
+    for S in minors:
+        for m in range(len(S) + 1):
+            for T in combinations(S, m):
+                rest = tuple(i for i in S if i not in T)
+                weight = math.prod(rates[i] for i in T)
+                coef[len(S), m] += (-1) ** (len(S) + m) * weight * minors[rest]
+    return [Polynomial(row) for row in coef[1:]]
+
+
+def _any_unstable(base, ramp, mus):
+    """The full test per mode: any eigenvalue with positive real part."""
+    stack = base[None, :, :] - mus[:, None, None] * ramp[None, :, :]
+    return np.linalg.eigvals(stack).real.max(axis=1) > 0.0
+
+
 def unstable_mode_count(params, Lx, Ly, max_modes):
     """Counts of unstable modes among the first max_modes eigenvalues.
 
     Returns (trace_count, full_count): modes with positive trace of the
     mode matrix, and modes with any eigenvalue in the right half-plane.
+    The full count is classified piece by piece between the roots of
+    c1, c3, c4 and the Hurwitz determinant; see the module docstring.
     """
     if max_modes < 1:
         raise ValueError("max_modes must be at least 1")
@@ -129,10 +179,37 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
     trace_count = int(np.sum(-rate_sum * mus + bracket > 0.0))
 
     base = mode_matrix(0.0, params)
-    ramp = np.diag([float(params.a), float(params.b), float(params.c), float(params.d)])
-    stack = base[None, :, :] - mus[:, None, None] * ramp[None, :, :]
-    eigs = np.linalg.eigvals(stack)
-    full_count = int(np.sum(eigs.real.max(axis=1) > 0.0))
+    rates = [float(params.a), float(params.b), float(params.c), float(params.d)]
+    ramp = np.diag(rates)
+    c1, c2, c3, c4 = _characteristic_polynomials(base, rates)
+    hurwitz = c1 * c2 * c3 - c3 * c3 - c1 * c1 * c4
+
+    # Every root's real part is a cut, so a double root that the root
+    # finder splits into a complex pair still bounds a piece.
+    top = 2.0 * mus[-1] + 1.0
+    edges = np.concatenate([p.roots() for p in (c1, c3, c4, hurwitz)]).real
+    cuts = np.unique(np.concatenate(([0.0], edges[(edges > 0.0) & (edges < top)], [top])))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    piece = np.searchsorted(cuts, mus, side="right") - 1
+    unstable = _any_unstable(base, ramp, mids)[piece]
+
+    # |c4| <= |lam| size^3 for a real eigenvalue lam, and by Orlando's
+    # formula |hurwitz| <= 2 |Re lam| (2 size)^5 for a complex pair, so
+    # a mode kept off this list has no eigenvalue within
+    # EDGE_ROUNDING * size / 64 of the imaginary axis.  A piece whose
+    # midpoint is on it is tested mode by mode.
+    norm_base, norm_rates = np.linalg.norm(base), np.linalg.norm(rates)
+
+    def near_edge(m):
+        size = norm_base + norm_rates * m
+        size4 = size**4
+        return (np.abs(c4(m)) <= EDGE_ROUNDING * size4) | (
+            np.abs(hurwitz(m)) <= EDGE_ROUNDING * size4 * size * size
+        )
+
+    direct = near_edge(mus) | near_edge(mids)[piece]
+    unstable[direct] = _any_unstable(base, ramp, mus[direct])
+    full_count = int(np.count_nonzero(unstable))
     return trace_count, full_count
 
 

@@ -139,7 +139,8 @@ def embed(series, m, tau, l=1):
     window = (m - 1) * tau
     if x.size < window + 1:
         raise ValueError(
-            f"series of length {x.size} too short for window {window + 1}"
+            f"series of length {x.size} too short for m = {m} at tau = {tau}: "
+            f"the window spans {window + 1} samples, so no point is embedded"
         )
     s = (x.size - 1 - window) // l + 1
     idx = np.arange(s)[:, None] * l + np.arange(m)[None, :] * tau
@@ -337,9 +338,17 @@ def albano_dimension(series, config=None):
 
     def evaluate(m):
         emb = embed(x, m, tau, stride)
+        theiler = theiler_window(emb, cfg.theiler)
+        points = emb.rows.shape[0]
+        if points < max(m, theiler + 2):
+            raise ValueError(
+                f"delay tau = {tau} is too long for {x.size} samples: at m = {m} the "
+                f"embedding keeps {points} points, too few for pairs outside the "
+                f"Theiler window of {theiler}"
+            )
         coords, kept, sigma = svd_reduce(emb, cfg.threshold)
         radii = radii_grid(coords)
-        C = correlation_integral(coords, radii, theiler_window(emb, cfg.theiler))
+        C = correlation_integral(coords, radii, theiler)
         fit = correlation_dimension(radii, C)
         return DimensionReport(
             d=fit.d,

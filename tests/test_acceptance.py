@@ -5,7 +5,8 @@ polynomial identities behind the energy functionals, positivity of the
 quadratic forms, discretization convergence, long-horizon boundedness
 with positivity, the cycle-versus-chaos contrast between uncoupled and
 spatially coupled media, estimator calibration on signals with known
-answers, the attractor-dimension arithmetic, and byte-level determinism
+answers, the attractor-dimension arithmetic, the solver's growth of
+single grid modes against the mode matrix, and byte-level determinism
 of the command-line runs.
 
 The long integrations make this the slow part of the suite; expect a
@@ -55,7 +56,7 @@ from b4.solver import (
     simulate,
     step,
 )
-from b4.spectral import extract_Kprime, lower_bound_base, unstable_mode_count
+from b4.spectral import extract_Kprime, lower_bound_base, mode_matrix, unstable_mode_count
 from b4.tsa import (
     AnalysisConfig,
     albano_dimension,
@@ -409,6 +410,51 @@ def test_dimension_bound_arithmetic():
     assert kp == pytest.approx(1.807e-4, rel=0.01)
     assert kp * float(base) == pytest.approx(27.54, rel=1e-12)
     assert kp < 0.91 / 5000
+
+
+@pytest.mark.parametrize(
+    "nx, ny, j, k, grows",
+    [(64, 1, 1, 0, True), (64, 1, 17, 0, False), (24, 16, 1, 1, True), (24, 16, 5, 4, False)],
+)
+def test_solver_moves_single_grid_modes_by_the_mode_matrix(nx, ny, j, k, grows):
+    """A cosine mode of the grid evolves by (I + dt M(mu))^n, M = mode_matrix.
+
+    On no-flux walls the stencil mirrors the first interior node, so
+    cos(pi j i / (nx - 1)) is an exact eigenvector of the discrete
+    Laplacian with eigenvalue -mu_j, mu_j = (4 / dx^2) sin^2(pi j / (2 (nx - 1))),
+    and a product of such cosines carries mu_j + mu_k.  Seeded at
+    amplitude 1e-9 on the uniform equilibrium, its projection after n
+    forward-Euler steps is the linear prediction up to rounding and
+    terms of order 1e-18.  The test is for Neumann walls only: zero
+    walls hold the boundary nodes at zero, so there the uniform state is
+    not an equilibrium and the cosines are not eigenvectors.
+    """
+    params = SystemParams(beta=5.9, a=1e-3, b=2e-3, c=3e-3, d=4e-3)
+    Lx, Ly, dt, n = 1.0, 0.7, 0.02, 200
+    dx, dy = Lx / (nx - 1), Ly / max(ny - 1, 1)
+
+    def cosine(count, index, spacing):
+        if count == 1:
+            return np.ones(1), 0.0
+        mu = 4.0 / spacing**2 * math.sin(math.pi * index / (2 * (count - 1))) ** 2
+        return np.cos(math.pi * index * np.arange(count) / (count - 1)), mu
+
+    (cx, mu_x), (cy, mu_y) = cosine(nx, j, dx), cosine(ny, k, dy)
+    phi = np.outer(cx, cy)
+    mu = mu_x + mu_y
+    base = np.array(stationary_solution(params).as_tuple())
+    v0 = 1e-9 * np.array([1.0, -0.5, 0.25, 0.75])
+    state = GridState(nx, ny, dx, dy, *(b + v * phi for b, v in zip(base, v0)), bc=BC_NEUMANN)
+    final = simulate(state, params, SolverConfig(dt=dt, t_end=n * dt, record_every=n)).final_state
+
+    got = np.array([np.sum((f - b) * phi) for f, b in zip(final.data, base)]) / np.sum(phi * phi)
+    M = mode_matrix(mu, params)
+    want = np.linalg.matrix_power(np.eye(4) + dt * M, n) @ v0
+    assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+    if grows:
+        assert np.linalg.eigvals(M).real.max() > 0 and np.linalg.norm(want) > 10 * np.linalg.norm(v0)
+    else:
+        assert np.linalg.eigvals(M).real.max() < 0 and np.linalg.norm(want) < np.linalg.norm(v0)
 
 
 SMALL_RUN = """

@@ -377,6 +377,15 @@ def test_run_bounds_matches_library_call(tmp_path):
     assert float(row[4]) == report.upper
 
 
+def test_bounds_rejects_zero_walls(tmp_path, capsys):
+    cfg = tmp_path / "walls.cfg"
+    cfg.write_text(f"bc = dirichlet0\nmax_modes = 150\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "bc = dirichlet0" in err and "numerical failure" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_bounds_clamps_at_stability_threshold(tmp_path):
     cfg = parse_config(f"beta = 1\nalpha = 2\nout_dir = {tmp_path}\n")
     run_bounds(cfg)

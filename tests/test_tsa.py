@@ -277,6 +277,16 @@ def test_albano_dimension_white_noise_stays_high():
     assert report.d > 4.0
 
 
+def test_albano_dimension_names_a_delay_too_long_for_the_series():
+    # The 1/e rule on a slow ramp picks tau = 363, which leaves 48 points
+    # at m = 5: fewer than the Theiler window of tau * m needs.
+    ramp = np.arange(1500.0) ** 2 / 1000.0
+    with pytest.raises(ValueError, match=r"tau = 363 .* m = 5 .* keeps 48 points"):
+        albano_dimension(ramp)
+    with pytest.raises(ValueError, match=r"m = 6 at tau = 363: .* no point is embedded"):
+        embed(ramp, 6, 363)
+
+
 def test_largest_lyapunov_logistic_map():
     x = logistic_series(3000)
     oracle = float(np.mean(np.log(np.abs(4.0 - 8.0 * x))))
