@@ -125,25 +125,59 @@ def validate_params(params):
     return bad
 
 
-def reaction_fields(u, v, w, z, params):
-    """Elementwise reaction rates for array or scalar fields.
+def _pair_rates(x, y, x_partner, y_partner, p, ex, ey, feed, drain, work):
+    """Rates of one pair (x, y) coupled to its partner pair, in place.
 
-    Returns the four rates (f, g, h, k) of u, v, w, z in that order.
+    feed = alpha - (beta + 1) x + x^2 y + ex (x_partner - x) and
+    drain = beta x - x^2 y + ey (y_partner - y), each evaluated left to
+    right; ``work`` is scratch of the same shape.  Outputs are passed
+    positionally and rotate through the three arrays so that few
+    operations write over an input: either costs extra per call, the
+    second one sharply for one-node arrays.
+    """
+    np.multiply(x, x, work)
+    np.multiply(work, y, drain)  # x^2 y
+    np.multiply(x, p.beta + 1.0, work)
+    np.subtract(p.alpha, work, feed)
+    np.add(feed, drain, work)
+    np.subtract(x_partner, x, feed)
+    np.multiply(feed, ex, feed)
+    np.add(work, feed, feed)
+    np.multiply(x, p.beta, work)
+    np.subtract(work, drain, work)
+    np.subtract(y_partner, y, drain)
+    np.multiply(drain, ey, drain)
+    np.add(work, drain, drain)
+
+
+def reaction_fields(u, v, w, z, params, out=None):
+    """Elementwise reaction rates (f, g, h, k) of u, v, w, z.
+
+    The fields are scalars or arrays that broadcast together.  ``out``,
+    if given, is five arrays of their shape (or one array with five
+    rows): the rates go into the first four, the fifth is scratch, and
+    nothing is allocated.  Without it the rates come back as new
+    values.  The pair (w, z) follows the formula of (u, v) with the
+    pairs' roles swapped and D3, D4 in place of D1, D2, so the formula
+    is written once, in ``_pair_rates``.
     """
     p = params
-    uuv = u * u * v
-    wwz = w * w * z
-    f = p.alpha - (p.beta + 1.0) * u + uuv + p.D1 * (w - u)
-    g = p.beta * u - uuv + p.D2 * (z - v)
-    h = p.alpha - (p.beta + 1.0) * w + wwz + p.D3 * (u - w)
-    k = p.beta * w - wwz + p.D4 * (v - z)
+    if out is None:
+        shape = np.broadcast(u, v, w, z).shape
+        f, g, h, k, work = (np.empty(shape) for _ in range(5))
+    else:
+        f, g, h, k, work = out
+    _pair_rates(u, v, w, z, p, p.D1, p.D2, f, g, work)
+    _pair_rates(w, z, u, v, p, p.D3, p.D4, h, k, work)
+    if out is None:
+        return f[()], g[()], h[()], k[()]
     return f, g, h, k
 
 
 def reaction_terms(point, params):
     """Reaction rates at a single state, as a Point4."""
-    f, g, h, k = reaction_fields(point.u, point.v, point.w, point.z, params)
-    return Point4(f, g, h, k)
+    rates = reaction_fields(point.u, point.v, point.w, point.z, params)
+    return Point4(*map(float, rates))
 
 
 def stationary_solution(params):

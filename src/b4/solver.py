@@ -4,11 +4,23 @@ The scheme is forward Euler in time with a five-point Laplacian in
 space.  All four fields advance simultaneously from the previous
 state.  No-flux boundaries use ghost-node reflection (the ghost value
 mirrors the first interior node), zero boundaries use zero ghosts.
+
+The four fields live in one contiguous buffer, one ghost-padded grid
+after the other (``_Stencil``), and a step allocates nothing: each
+elementwise pass runs once over the flat span of all four, or once
+per field for the reaction.  The padding inside the span, corners
+included, is reset after every update, so the blow-up check sees only
+interior values, their mirrors and zeros.  Every operation keeps its
+operand order (the Laplacian sums onto zero, x before y), so values
+are those of differencing each field on its own, bit for bit.
 """
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,16 +121,25 @@ def _check_extent(n):
 
 
 class _Stencil:
-    """Five-point Laplacian of a (k, nx, ny) stack of fields.
+    """A (k, nx, ny) stack of fields in one flat ghost-padded buffer.
 
-    The fields live in ``fields``, the interior of a buffer with one
-    ghost layer on each side of every direction of extent above one.
-    Zero ghosts are never written; no-flux ghosts are refreshed on each
-    call to mirror the first interior node.  A direction of extent one
-    is skipped.  Each direction's second difference is formed and
-    scaled on its own and summed onto zero, in the order of padding
-    each field and differencing it axis by axis, so the result is the
-    same bit for bit.
+    Each field owns P = (nx + 2 gx)(ny + 2 gy) consecutive entries of
+    ``buffer``: a row-major grid with one ghost layer on each side of
+    every direction of extent above one (gx, gy are 0 or 1).
+    ``fields`` is the interior view.  ``span`` runs from the first
+    interior node of the first field to the last of the last field, so
+    a neighbour is the entry ±1 or ±(ny + 2 gy) away and one call
+    covers all fields.  A pass over the span also writes the padding
+    cells inside it; ``refresh`` restores them, so that every padding
+    cell holds zero or a copy of an interior value.
+
+    ``laplacian`` sums each direction's scaled second difference onto
+    zero, x before y, in the operation order of padding each field and
+    differencing it axis by axis, so the result is that one bit for bit
+    (signed zeros included).  The Laplacian and its two scratch arrays
+    are allocated here, once; the step kernel and ``record`` reuse the
+    scratch.  Ufuncs get their outputs positionally and constants as
+    0-d arrays: either is cheaper per call than the alternative.
     """
 
     def __init__(self, data, dx, dy, bc):
@@ -126,38 +147,109 @@ class _Stencil:
         _check_extent(nx)
         _check_extent(ny)
         gx, gy = int(nx > 1), int(ny > 1)
-        p = np.zeros((k, nx + 2 * gx, ny + 2 * gy))
-        self.fields = p[:, gx : gx + nx, gy : gy + ny]
+        row = ny + 2 * gy
+        size = (nx + 2 * gx) * row
+        start = gx * row + gy
+        span = slice(start, k * size - start)
+        self.buffer = np.zeros(k * size)
+        grid = self.buffer.reshape(k, nx + 2 * gx, row)
+        self.fields = grid[:, gx : gx + nx, gy : gy + ny]
         self.fields[...] = data
-        self._lap = np.empty(data.shape)
-        self._pair = np.empty((nx, ny))
-        self._twice = np.empty((nx, ny))
-        self._axes = []
+        self.span = self.buffer[span]
+        lap, twice, pair = (np.zeros(k * size) for _ in range(3))
+        self.lap = lap[span]
+        self.lap_fields = lap.reshape(grid.shape)[:, gx : gx + nx, gy : gy + ny]
+        self.lap_rows = lap.reshape(k, size)[:, start : size - start]
+        # The first scratch array holds twice the fields in ``laplacian``
+        # and the reaction rates after it, in each field's run: its
+        # interior rows as one contiguous run (with the y ghosts between
+        # them).  A run of the second is the reaction's own scratch.
+        self.rates, self._pair = twice[span], pair[span]
+        runs = [slice(i * size + start, (i + 1) * size - start) for i in range(k)]
+        self.runs = tuple(self.buffer[r] for r in runs)
+        self.rate_runs = tuple(twice[r] for r in runs) + (pair[runs[0]],)
+        self._axes = [
+            (self.buffer[start + step : span.stop + step],
+             self.buffer[start - step : span.stop - step],
+             np.array(h**2))
+            for n, step, h in ((nx, row, dx), (ny, 1, dy))
+            if n > 1
+        ]
+        self._two, self._zero = np.array(2.0), np.array(0.0)
+        # Both walls of a direction as one strided view, and the lines
+        # they mirror: the second node from each end (one line if n = 3).
+        self._walls = []
         if nx > 1:
-            inner = slice(gy, gy + ny)
-            ghosts = ((p[:, 0, inner], p[:, 2, inner]), (p[:, -1, inner], p[:, -3, inner]))
-            self._axes.append((p[:, 2:, inner], p[:, :-2, inner], dx**2, ghosts))
+            self._walls.append((grid[:, :: nx + 1, :], grid[:, 2 : nx : max(nx - 3, 1), :]))
         if ny > 1:
-            inner = slice(gx, gx + nx)
-            ghosts = ((p[:, inner, 0], p[:, inner, 2]), (p[:, inner, -1], p[:, inner, -3]))
-            self._axes.append((p[:, inner, 2:], p[:, inner, :-2], dy**2, ghosts))
+            self._walls.append((grid[:, :, :: ny + 1], grid[:, :, 2 : ny : max(ny - 3, 1)]))
         self._mirror = bc == BC_NEUMANN
+        self.refresh()
+
+    def refresh(self):
+        """Reset the padding: zero ghosts, or mirrors of the second node.
+
+        The x walls are whole rows of the padded grid and the y walls
+        whole columns, written in that order, so a corner ends up zero
+        or, for no-flux walls, the mirror of an x ghost.
+        """
+        for ghosts, mirrors in self._walls:
+            if self._mirror:
+                ghosts[...] = mirrors
+            else:
+                ghosts.fill(0.0)
 
     def laplacian(self):
-        """The Laplacian of the current fields, in an array reused by every call."""
-        lap, pair, twice = self._lap, self._pair, self._twice
-        lap.fill(0.0)
-        for ahead, behind, h2, ghosts in self._axes:
-            if self._mirror:
-                for ghost, mirror in ghosts:
-                    ghost[...] = mirror
-            for acc, a, b, c in zip(lap, ahead, behind, self.fields):
-                np.add(a, b, out=pair)
-                np.multiply(c, 2.0, out=twice)
-                np.subtract(pair, twice, out=pair)
-                np.divide(pair, h2, out=pair)
-                acc += pair
+        """The Laplacian over the span, in ``lap``, reused by every call."""
+        lap, twice, pair = self.lap, self.rates, self._pair
+        if not self._axes:
+            lap.fill(0.0)
+            return lap
+        np.multiply(self.span, self._two, twice)
+        for i, (ahead, behind, h2) in enumerate(self._axes):
+            np.add(ahead, behind, pair)
+            np.subtract(pair, twice, pair)
+            np.divide(pair, h2, pair)
+            np.add(lap if i else self._zero, pair, lap)
         return lap
+
+    def record(self, t, ix, iy, dx, dy):
+        """The observables of the current fields, from stacked passes.
+
+        The squares and differences go into the scratch arrays, one
+        contiguous row per field, and each row sums the way ``np.sum``
+        sums that field alone, so every value is the per-field one bit
+        for bit.
+        """
+        fields = self.fields
+        k = len(fields)
+        twice, pair = self.rates, self._pair
+
+        def sum_of_squares(values, scratch):
+            rows = scratch[: values.size].reshape(values.shape)
+            np.multiply(values, values, rows)
+            return rows.reshape(k, -1).sum(axis=1)
+
+        l2 = sum_of_squares(fields, twice)
+        grad = [0.0] * k
+        for h, ahead, behind in (
+            (dx, fields[:, 1:], fields[:, :-1]),
+            (dy, fields[:, :, 1:], fields[:, :, :-1]),
+        ):
+            if ahead.size:
+                diff = np.subtract(ahead, behind, pair[: ahead.size].reshape(ahead.shape))
+                np.divide(diff, h, diff)
+                for i, total in enumerate(sum_of_squares(diff, twice).tolist()):
+                    grad[i] += total
+        cell = dx * dy
+        return ObservableRecord(
+            t=t,
+            probe_values=Point4(*fields[:, ix, iy].tolist()),
+            l2_norms=tuple(math.sqrt(s * cell) for s in l2.tolist()),
+            grad_l2_norms=tuple(math.sqrt(g * dx * dy) for g in grad),
+            mins=tuple(fields.min(axis=(1, 2)).tolist()),
+            maxs=tuple(fields.max(axis=(1, 2)).tolist()),
+        )
 
 
 def laplacian(field, dx, dy, bc=BC_NEUMANN):
@@ -167,7 +259,9 @@ def laplacian(field, dx, dy, bc=BC_NEUMANN):
         raise ValueError("field must be 2-d (use extent 1 for a flat direction)")
     if bc not in BC_TAGS:
         raise ValueError(f"unknown boundary tag {bc!r}")
-    return _Stencil(field[None], dx, dy, bc).laplacian()[0]
+    stencil = _Stencil(field[None], dx, dy, bc)
+    stencil.laplacian()
+    return stencil.lap_fields[0].copy()
 
 
 def stability_limit(params, dx, dy=math.inf):
@@ -190,24 +284,36 @@ def stability_limit(params, dx, dy=math.inf):
     return min(diffusive, reaction)
 
 
-def _advance(stencil, params, dt, k):
-    """Step k of forward Euler, in place on the stencil's fields.
+def _constants(params):
+    """The parameters as 0-d arrays, which ufuncs take faster than floats,
+    plus the diffusivities a, b, c, d as a column: one per field."""
+    constants = {name: np.array(getattr(params, name)) for name in _PARAM_ORDER}
+    diffusivities = np.array([[params.a], [params.b], [params.c], [params.d]])
+    return SimpleNamespace(**constants, diffusivities=diffusivities)
 
-    All four fields update from the same state.  One reduction over
-    the stack checks the result: a NaN anywhere, or a magnitude above
-    BLOWUP_LIMIT, raises BlowUpError.
+
+def _advance(stencil, params, dt, k):
+    """Step k of forward Euler, in place on the stencil's buffer.
+
+    ``params`` comes from ``_constants``.  All four fields update from
+    the same state: the Laplacian over the span, each field's rows
+    times its diffusivity, plus the reaction rates, which
+    ``reaction_fields`` writes into the first scratch array; that sum
+    times dt is added onto the span.  Nothing is allocated.
+    ``refresh`` then resets the padding, so one reduction over the
+    span sees only interior values, their copies and zeros: a NaN
+    anywhere, or a magnitude above BLOWUP_LIMIT, raises BlowUpError.
     """
-    fields = stencil.fields
-    rates = reaction_fields(*fields, params)
     lap = stencil.laplacian()
-    lap *= np.array((params.a, params.b, params.c, params.d)).reshape(4, 1, 1)
-    for acc, rate in zip(lap, rates):
-        acc += rate
-    lap *= dt
-    fields += lap
-    peak = float(np.abs(fields, out=lap).max())
+    np.multiply(stencil.lap_rows, params.diffusivities, stencil.lap_rows)
+    reaction_fields(*stencil.runs, params, out=stencil.rate_runs)
+    np.add(lap, stencil.rates, lap)
+    np.multiply(lap, dt, lap)
+    np.add(stencil.span, lap, stencil.span)
+    stencil.refresh()
+    peak = float(np.maximum.reduce(np.abs(stencil.span, lap)))
     if not peak <= BLOWUP_LIMIT:
-        maxima = tuple(float(np.max(np.abs(f))) for f in fields)
+        maxima = tuple(float(np.max(np.abs(f))) for f in stencil.fields)
         raise BlowUpError(
             f"blow-up at t={k * dt:g} (step {k}): max |field| = {peak:.3e}, "
             f"per-field maxima {maxima}",
@@ -225,35 +331,8 @@ def _state_like(state, data):
 def step(state, params, dt):
     """One explicit step; all four fields update from the same state."""
     stencil = _Stencil(state.data, state.dx, state.dy, state.bc)
-    _advance(stencil, params, dt, 1)
+    _advance(stencil, _constants(params), dt, 1)
     return _state_like(state, stencil.fields)
-
-
-def _l2_norm(field, cell_area):
-    return math.sqrt(float(np.sum(field * field)) * cell_area)
-
-
-def _grad_l2_norm(field, dx, dy):
-    acc = 0.0
-    if field.shape[0] > 1:
-        gx = np.diff(field, axis=0) / dx
-        acc += float(np.sum(gx * gx))
-    if field.shape[1] > 1:
-        gy = np.diff(field, axis=1) / dy
-        acc += float(np.sum(gy * gy))
-    return math.sqrt(acc * dx * dy)
-
-
-def _make_record(t, ix, iy, fields, dx, dy):
-    cell = dx * dy
-    return ObservableRecord(
-        t=t,
-        probe_values=Point4(*(float(f[ix, iy]) for f in fields)),
-        l2_norms=tuple(_l2_norm(f, cell) for f in fields),
-        grad_l2_norms=tuple(_grad_l2_norm(f, dx, dy) for f in fields),
-        mins=tuple(float(f.min()) for f in fields),
-        maxs=tuple(float(f.max()) for f in fields),
-    )
 
 
 def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=None):
@@ -286,18 +365,20 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
     nsteps = total_steps - step_offset
     dx, dy = state0.dx, state0.dy
     stencil = _Stencil(state0.data, dx, dy, state0.bc)
+    constants = _constants(params)
     fields = stencil.fields
+    at_probe = fields[:, ix, iy]
     probe = np.empty((nsteps + 1, 5))
     records = []
     for i in range(nsteps + 1):
         k = step_offset + i
         if i:
-            _advance(stencil, params, cfg.dt, k)
+            _advance(stencil, constants, cfg.dt, k)
         t = k * cfg.dt
         probe[i, 0] = t
-        probe[i, 1:] = fields[:, ix, iy]
+        probe[i, 1:] = at_probe
         if k % cfg.record_every == 0:
-            records.append(_make_record(t, ix, iy, fields, dx, dy))
+            records.append(stencil.record(t, ix, iy, dx, dy))
         if i and snapshot_every and k % snapshot_every == 0:
             on_snapshot(_state_like(state0, fields), k)
 
@@ -327,6 +408,10 @@ def save_checkpoint(path, state, params, step_index, t):
     doubles (alpha, beta, D1..D4, a..d), nx/ny i64, dx/dy doubles,
     boundary code u8, step index i64, time double, then the four field
     arrays as raw row-major doubles.
+
+    The bytes go to ``<path>.tmp`` in the same directory, are synced,
+    and then replace ``path`` in one rename, so a write that fails
+    partway leaves any previous checkpoint at ``path`` as it was.
     """
     header = _CHECKPOINT_HEADER.pack(
         _CHECKPOINT_MAGIC,
@@ -340,9 +425,19 @@ def save_checkpoint(path, state, params, step_index, t):
         step_index,
         t,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(state.data.tobytes())
+    path = os.fspath(path)
+    partial = path + ".tmp"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(header)
+            fh.write(state.data.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def load_checkpoint(path):

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from b4 import solver as solver_module
 from b4.model import (
     BC_DIRICHLET0,
     BC_NEUMANN,
@@ -314,6 +315,44 @@ def test_load_checkpoint_rejects_empty_grid_and_nan_spacing(tmp_path):
         (tmp_path / name).write_bytes(bytes(data))
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / name)
+
+
+def test_a_checkpoint_write_that_fails_partway_keeps_the_previous_one(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.ck"
+    before = uniform_state((1.0, 2.0, 3.0, 4.0), nx=6, ny=5)
+    save_checkpoint(path, before, TABLE_PARAMS, 240, 10.0)
+    saved = path.read_bytes()
+
+    class FailingFile:
+        """Writes the first half of each write, then raises."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    real_open = open
+    monkeypatch.setattr(
+        solver_module, "open", lambda p, mode: FailingFile(real_open(p, mode)), raising=False
+    )
+    after = uniform_state((5.0, 6.0, 7.0, 8.0), nx=6, ny=5)
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(path, after, TABLE_PARAMS, 480, 20.0)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == saved
+    state, _, step_index, t = load_checkpoint(path)
+    assert (step_index, t) == (240, 10.0)
+    assert state.data.tobytes() == before.data.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.ck"]
 
 
 def test_positivity_short_run():
