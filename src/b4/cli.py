@@ -224,22 +224,32 @@ def serialize(config):
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _spec(kind):
+    if issubclass(kind, bool):
+        return "%s"
+    return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
 def _write_csv(path, header, rows, append=False):
-    """Write rows under a header; append=True adds them to an existing file."""
+    """Write rows under a header; append=True adds them to an existing file.
+
+    Each value is typed on its own, not by its column: a bool is written
+    as true or false, an integer (numpy's too) in full, anything else as
+    a float with 17 significant digits.  Rows go out through one ``%``
+    format per sequence of types, built once.
+    """
     append = append and path.exists()
+    formats = {}
     with open(path, "a" if append else "w") as fh:
         if not append:
             fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = ",".join(map(_spec, kinds)) + "\n"
+            if bool in kinds:
+                row = [("false", "true")[v] if type(v) is bool else v for v in row]
+            fh.write(formats[kinds] % tuple(row))
 
 
 def _auto_dt(params, nx, ny, dx, dy):
@@ -271,14 +281,11 @@ def _check_snapshot_names(run, start_step, every):
         previous = name
 
 
-def _write_snapshot(path, state):
-    rows = np.empty((state.nx, state.ny, 6))
-    rows[..., 0] = (np.arange(state.nx) * state.dx)[:, None]
-    rows[..., 1] = np.arange(state.ny) * state.dy
-    rows[..., 2:] = np.moveaxis(state.data, 0, -1)
-    np.savetxt(
-        path, rows.reshape(-1, 6), fmt="%.17g", delimiter=",", header="x,y,u,v,w,z", comments=""
-    )
+def _snapshot_rows(state):
+    """(x, y, u, v, w, z) for every node, x major, one grid line at a time."""
+    ys = (np.arange(state.ny) * state.dy).tolist()
+    for x, line in zip((np.arange(state.nx) * state.dx).tolist(), state.data.transpose(1, 0, 2)):
+        yield from zip([x] * len(ys), ys, *line.tolist())
 
 
 def run_simulate(config):
@@ -298,7 +305,7 @@ def run_simulate(config):
 
     def snapshot(state, step_index):
         path = out / _snapshot_name(step_index * dt)
-        _write_snapshot(path, state)
+        _write_csv(path, ["x", "y", "u", "v", "w", "z"], _snapshot_rows(state))
         written.append(path)
 
     resuming = bool(config.resume_from)
@@ -368,9 +375,7 @@ def run_simulate(config):
     )
 
     ck_path = out / "checkpoint.ck"
-    save_checkpoint(
-        ck_path, result.final_state, params, result.final_step, result.final_step * dt
-    )
+    save_checkpoint(ck_path, result.final_state, params, run.total_steps, run.total_steps * dt)
     written.append(ck_path)
     return written
 

@@ -85,9 +85,6 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        ix, iy = self.probe
-        if ix < 0 or iy < 0:
-            raise ValueError("probe indices must be nonnegative")
 
     @property
     def total_steps(self):
@@ -107,12 +104,10 @@ class ObservableRecord:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Trajectory records plus the probe series at solver resolution."""
+    """The records at the record cadence and the state at the last step."""
 
     records: list
-    probe_series: np.ndarray
     final_state: GridState
-    final_step: int
 
 
 def _check_extent(n):
@@ -340,11 +335,12 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
 
     Times are step_index * dt with absolute step indices, so a run
     resumed from step_offset reproduces the uninterrupted trajectory
-    bit for bit.  The probe series covers every step from step_offset
-    to the final one, inclusive.  t_end is mapped to the nearest whole
-    step count, which must lie past step_offset.  With snapshot_every
-    set, on_snapshot(state, step_index) receives the state at every
-    later step index that it divides, as soon as that step is taken.
+    bit for bit.  Records, the probe values among them, are taken at
+    the step indices that record_every divides.  t_end is mapped to the
+    nearest whole step count, cfg.total_steps, which must lie past
+    step_offset.  With snapshot_every set, on_snapshot(state, step_index)
+    receives a copy of the state at every later step index that it
+    divides, as soon as that step is taken.
     """
     limit = stability_limit(
         params,
@@ -362,27 +358,20 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
             f"t_end {cfg.t_end:g} is not past the starting step {step_offset}"
         )
 
-    nsteps = total_steps - step_offset
     dx, dy = state0.dx, state0.dy
     stencil = _Stencil(state0.data, dx, dy, state0.bc)
     constants = _constants(params)
     fields = stencil.fields
-    at_probe = fields[:, ix, iy]
-    probe = np.empty((nsteps + 1, 5))
     records = []
-    for i in range(nsteps + 1):
-        k = step_offset + i
-        if i:
+    for k in range(step_offset, total_steps + 1):
+        if k > step_offset:
             _advance(stencil, constants, cfg.dt, k)
-        t = k * cfg.dt
-        probe[i, 0] = t
-        probe[i, 1:] = at_probe
         if k % cfg.record_every == 0:
-            records.append(stencil.record(t, ix, iy, dx, dy))
-        if i and snapshot_every and k % snapshot_every == 0:
+            records.append(stencil.record(k * cfg.dt, ix, iy, dx, dy))
+        if k > step_offset and snapshot_every and k % snapshot_every == 0:
             on_snapshot(_state_like(state0, fields), k)
 
-    return SimulationResult(records, probe, _state_like(state0, fields), total_steps)
+    return SimulationResult(records, _state_like(state0, fields))
 
 
 def initial_condition(grid, base, amplitude, seed):
@@ -459,6 +448,7 @@ def load_checkpoint(path):
     bc_code, step_index, t = parts[16], parts[17], parts[18]
     if bc_code not in _BC_NAMES:
         raise ValueError(f"unknown boundary code {bc_code}")
+    check_geometry(nx, ny, dx, dy, _BC_NAMES[bc_code])
     count = 4 * nx * ny
     if len(raw) != header_size + count * 8:
         raise ValueError("checkpoint payload size mismatch")

@@ -306,9 +306,17 @@ def test_long_run_stays_bounded_and_positive(tmp_path):
     assert min(np.min(f) for f in final_state.fields()) >= -1e-12
 
 
-def probe_window(result, t_lo, sub):
-    probe = result.probe_series
-    return probe[probe[:, 0] >= t_lo, 1][::sub]
+def probe_window(state, t_end, probe, t_lo, sub):
+    """u at the probe on every sub-th step from t = t_lo (a multiple of sub) on."""
+    window = []
+
+    def keep(snap, k):
+        if k * DT >= t_lo:
+            window.append(snap.u[probe])
+
+    cfg = SolverConfig(dt=DT, t_end=t_end, record_every=60000, probe=probe)
+    simulate(state, NINE_PARAMS, cfg, snapshot_every=sub, on_snapshot=keep)
+    return np.array(window)
 
 
 def dimension_and_rate(x, spacing):
@@ -326,20 +334,14 @@ def test_uniform_cycle_versus_spatially_coupled_chaos():
     s0 = stationary_solution(NINE_PARAMS)
     displaced = Point4(s0.u + 0.5, s0.v, s0.w + 0.5, s0.z)
     single = initial_condition(Grid(1, 1, 1.0, 1.0), displaced, 0.0, seed=0)
-    res_u = simulate(
-        single, NINE_PARAMS, SolverConfig(dt=DT, t_end=2500.0, record_every=60000)
-    )
-    d_uniform, lam_uniform = dimension_and_rate(probe_window(res_u, 500.0, 3), 3 * DT)
+    x_uniform = probe_window(single, 2500.0, (0, 0), 500.0, 3)
+    d_uniform, lam_uniform = dimension_and_rate(x_uniform, 3 * DT)
     assert abs(lam_uniform) <= 0.05
     assert 0.7 <= d_uniform <= 1.3
 
     coupled = initial_condition(Grid(200, 1, 1.5e-3, 1.0), s0, 0.1, seed=1)
-    res_d = simulate(
-        coupled,
-        NINE_PARAMS,
-        SolverConfig(dt=DT, t_end=2100.0, record_every=60000, probe=(100, 0)),
-    )
-    d_coupled, lam_coupled = dimension_and_rate(probe_window(res_d, 100.0, 3), 3 * DT)
+    x_coupled = probe_window(coupled, 2100.0, (100, 0), 100.0, 3)
+    d_coupled, lam_coupled = dimension_and_rate(x_coupled, 3 * DT)
     assert lam_coupled > 0.0
     assert d_coupled > d_uniform
 

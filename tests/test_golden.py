@@ -121,9 +121,11 @@ def test_chain_probe_series_and_final_fields_are_pinned():
     state = initial_condition(
         Grid(40, 1, 0.5, 1.0), stationary_solution(params), 0.05, seed=3
     )
-    cfg = SolverConfig(dt=1.0 / 24.0, t_end=20.0, record_every=24, probe=(7, 0))
+    cfg = SolverConfig(dt=1.0 / 24.0, t_end=20.0, record_every=1, probe=(7, 0))
     result = simulate(state, params, cfg)
-    assert sha256(result.probe_series.tobytes()) == CHAIN_PROBE_SHA256
+    # (t, u, v, w, z) at every step, as a (481, 5) float64 array
+    probe = np.array([(rec.t, *rec.probe_values.as_tuple()) for rec in result.records])
+    assert sha256(probe.tobytes()) == CHAIN_PROBE_SHA256
     final = b"".join(f.tobytes() for f in result.final_state.fields())
     assert sha256(final) == CHAIN_FINAL_SHA256
 

@@ -185,11 +185,10 @@ def test_simulate_record_cadence_and_probe_shape():
     state = initial_condition(grid, stationary_solution(TABLE_PARAMS), 1e-3, seed=3)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=1.0, record_every=10, probe=(2, 0))
     result = simulate(state, TABLE_PARAMS, cfg)
-    assert result.probe_series.shape == (25, 5)
     assert [round(r.t * 24) for r in result.records] == [0, 10, 20]
-    assert result.final_step == 24
-    # probe column matches the recorded probe values at matching times
-    assert result.probe_series[0, 1] == result.records[0].probe_values.u
+    assert cfg.total_steps == 24
+    # the recorded probe values are those of the probe node
+    assert result.records[0].probe_values.as_tuple() == tuple(state.data[:, 2, 0])
 
 
 def test_simulate_guards():
@@ -197,10 +196,11 @@ def test_simulate_guards():
     state = initial_condition(grid, stationary_solution(TABLE_PARAMS), 0.0, seed=0)
     with pytest.raises(ValueError):
         simulate(state, TABLE_PARAMS, SolverConfig(dt=0.1, t_end=1.0))
-    with pytest.raises(ValueError):
-        simulate(
-            state, TABLE_PARAMS, SolverConfig(dt=1.0 / 24.0, t_end=1.0, probe=(9, 0))
-        )
+    for probe in ((9, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="outside the 4x1 grid"):
+            simulate(
+                state, TABLE_PARAMS, SolverConfig(dt=1.0 / 24.0, t_end=1.0, probe=probe)
+            )
 
 
 def test_simulate_blowup_diagnostics():
@@ -217,11 +217,12 @@ def test_simulate_blowup_diagnostics():
 
 def test_simulate_deterministic():
     grid = Grid(16, 1, 0.5, 1.0)
-    cfg = SolverConfig(dt=1.0 / 24.0, t_end=3.0, record_every=8)
+    cfg = SolverConfig(dt=1.0 / 24.0, t_end=3.0, record_every=1)
     base = stationary_solution(TABLE_PARAMS)
     r1 = simulate(initial_condition(grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
     r2 = simulate(initial_condition(grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
-    assert np.array_equal(r1.probe_series, r2.probe_series)
+    assert len(r1.records) == 73
+    assert r1.records == r2.records
     for f1, f2 in zip(r1.final_state.fields(), r2.final_state.fields()):
         assert np.array_equal(f1, f2)
 
@@ -230,19 +231,20 @@ def test_simulate_resume_is_bit_identical(tmp_path):
     grid = Grid(12, 1, 0.5, 1.0)
     base = stationary_solution(TABLE_PARAMS)
     state0 = initial_condition(grid, base, 1e-3, 21)
-    full_cfg = SolverConfig(dt=1.0 / 24.0, t_end=4.0, record_every=6)
+    full_cfg = SolverConfig(dt=1.0 / 24.0, t_end=4.0, record_every=1)
     full = simulate(state0, TABLE_PARAMS, full_cfg)
 
-    half = simulate(state0, TABLE_PARAMS, SolverConfig(dt=1.0 / 24.0, t_end=2.0, record_every=6))
+    half_cfg = SolverConfig(dt=1.0 / 24.0, t_end=2.0, record_every=1)
+    half = simulate(state0, TABLE_PARAMS, half_cfg)
     ck = tmp_path / "state.ck"
-    save_checkpoint(ck, half.final_state, TABLE_PARAMS, half.final_step, 2.0)
+    save_checkpoint(ck, half.final_state, TABLE_PARAMS, half_cfg.total_steps, 2.0)
     loaded_state, loaded_params, step_index, _ = load_checkpoint(ck)
     rest = simulate(loaded_state, loaded_params, full_cfg, step_offset=step_index)
 
     for f1, f2 in zip(full.final_state.fields(), rest.final_state.fields()):
         assert np.array_equal(f1, f2)
-    stitched = np.vstack([half.probe_series, rest.probe_series[1:]])
-    assert np.array_equal(stitched, full.probe_series)
+    assert len(full.records) == 97
+    assert half.records + rest.records[1:] == full.records
 
 
 def test_initial_condition_contract():
@@ -306,14 +308,25 @@ def test_load_checkpoint_rejects_empty_grid_and_nan_spacing(tmp_path):
     save_checkpoint(path, state, TABLE_PARAMS, 0, 0.0)
     raw = path.read_bytes()
     # header: magic, version, ten parameters, then nx, ny, dx, dy
-    nx_at, dx_at, header_size = 88, 104, 145
-    empty = bytearray(raw[:header_size])
-    empty[nx_at : nx_at + 8] = struct.pack("<q", 0)
+    nx_at, dx_at, header_size = 88, 104, 137
+
+    def header_with(extents, payload_doubles):
+        data = bytearray(raw[: header_size + 8 * payload_doubles])
+        data[nx_at : nx_at + 16] = struct.pack("<2q", *extents)
+        return data
+
     nan_dx = bytearray(raw)
     nan_dx[dx_at : dx_at + 8] = struct.pack("<d", math.nan)
-    for name, data in (("empty.ck", empty), ("nan.ck", nan_dx)):
+    cases = (
+        ("empty.ck", header_with((0, 1), 0), "extents must be at least 1"),
+        # 4 * nx * ny doubles of payload: the size check alone would pass
+        ("negative.ck", header_with((-1, -1), 4), "extents must be at least 1"),
+        ("negative_y.ck", header_with((2, -1), 0), "extents must be at least 1"),
+        ("nan.ck", nan_dx, "dx must be positive"),
+    )
+    for name, data, message in cases:
         (tmp_path / name).write_bytes(bytes(data))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(tmp_path / name)
 
 
