@@ -230,18 +230,30 @@ def _spec(kind):
     return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
-def _write_csv(path, header, rows, append=False):
-    """Write rows under a header; append=True adds them to an existing file.
+def _write_csv(path, header, rows, keep=None):
+    """Write rows under a header into a new file.
+
+    With keep set and the file present, the file keeps its header and
+    its first ``keep`` rows, is cut after them, and gets the rows there
+    instead; a file with fewer complete rows raises ConfigError.
 
     Each value is typed on its own, not by its column: a bool is written
     as true or false, an integer (numpy's too) in full, anything else as
     a float with 17 significant digits.  Rows go out through one ``%``
     format per sequence of types, built once.
     """
-    append = append and path.exists()
+    kept = keep is not None and path.exists()
     formats = {}
-    with open(path, "a" if append else "w") as fh:
-        if not append:
+    with open(path, "r+" if kept else "w") as fh:
+        if kept:
+            for _ in range(keep + 1):
+                if not fh.readline().endswith("\n"):
+                    raise ConfigError(f"{path} holds fewer than the {keep} rows to keep")
+            # The text layer reads ahead; seek back to the end of the
+            # lines read before cutting there.
+            fh.seek(fh.tell())
+            fh.truncate()
+        else:
             fh.write(",".join(header) + "\n")
         for row in rows:
             kinds = tuple(map(type, row))
@@ -294,9 +306,11 @@ def run_simulate(config):
     Files land in ``config.out_dir``: probe.csv and norms.csv hold one
     row per record_every steps, snapshot_<t>.csv field dumps appear
     when snapshot_every is set, and checkpoint.ck captures the final
-    state.  With resume_from pointing at a checkpoint, new rows are
-    appended to the existing files and the stitched trajectory is
-    bit-identical to an uninterrupted run.  Returns the written paths.
+    state.  With resume_from pointing at a checkpoint, probe.csv and
+    norms.csv keep their rows up to the checkpoint step and get the new
+    rows after them, so the files are byte-identical to those of an
+    uninterrupted run, also when the same resume runs again.  Returns
+    the written paths.
     """
     out = Path(config.out_dir)
     probe_path = out / "probe.csv"
@@ -337,25 +351,22 @@ def run_simulate(config):
         if config.snapshot_every > 0:
             _check_snapshot_names(run, start_step, config.snapshot_every)
         out.mkdir(parents=True, exist_ok=True)
-        if config.snapshot_every > 0 and not resuming:
-            snapshot(state, 0)
         result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
     except ValueError as exc:
         # A bad checkpoint, and the solver's stability, probe and step-count
         # checks, all point at the config.
         raise ConfigError(str(exc)) from None
 
-    records = result.records
-    if resuming and start_step % config.record_every == 0:
-        # The run that wrote the checkpoint has written this row already.
-        records = records[1:]
+    # The rows up to the checkpoint step, which the run that wrote it
+    # has written; None writes new files.
+    keep = start_step // config.record_every + 1 if resuming else None
     # Weight of the second oscillator pair in the paired-norm monitor.
     delta = params.D2 / params.D4
     _write_csv(
         probe_path,
         ["t", "u", "v", "w", "z"],
-        ((rec.t, *rec.probe_values.as_tuple()) for rec in records),
-        append=resuming,
+        ((rec.t, *rec.probe_values.as_tuple()) for rec in result.records),
+        keep=keep,
     )
     _write_csv(
         norms_path,
@@ -369,9 +380,9 @@ def run_simulate(config):
                 sum(x * x for x in rec.l2_norms),
                 rec.l2_norms[1] ** 2 + delta * rec.l2_norms[3] ** 2,
             )
-            for rec in records
+            for rec in result.records
         ),
-        append=resuming,
+        keep=keep,
     )
 
     ck_path = out / "checkpoint.ck"

@@ -161,6 +161,36 @@ FEASIBLE_GROWTH = 2.0  # factor applied to sigma2 or rho2 per growth step
 BISECT_STEPS = 50  # bisection steps that shrink a grown value back
 
 
+def _grow_then_bisect(passes, start, condition):
+    """Smallest value found for which passes(value) holds.
+
+    The value grows from start by FEASIBLE_GROWTH until it passes; a
+    grown value is then bisected BISECT_STEPS times between its last
+    failing and its passing value, and the passing end is returned.
+    Raises InfeasibleError naming the condition after GROWTH_CAP failed
+    growth steps.
+    """
+    value = start
+    steps = 0
+    while not passes(value):
+        value *= FEASIBLE_GROWTH
+        steps += 1
+        if steps > GROWTH_CAP:
+            raise InfeasibleError(
+                f"condition {condition} not reached after {GROWTH_CAP} growth steps"
+            )
+    if steps:
+        lo, hi = value / FEASIBLE_GROWTH, value
+        for _ in range(BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            if passes(mid):
+                hi = mid
+            else:
+                lo = mid
+        value = hi
+    return value
+
+
 def feasible_triple(A):
     """Search for a generator triple satisfying all three conditions.
 
@@ -179,28 +209,10 @@ def feasible_triple(A):
     # over the bare inequality lam > 0.
     lam_target = e13**2 + 1.0
 
-    def lam_at(s2):
-        return _condition_terms(A, theta2, s2, 1.0)[0]
+    def margin2_ok(s2):
+        return _condition_terms(A, theta2, s2, 1.0)[0] >= lam_target
 
-    sigma2 = A.A23**2 + 1.0
-    steps = 0
-    while lam_at(sigma2) < lam_target:
-        sigma2 *= FEASIBLE_GROWTH
-        steps += 1
-        if steps > GROWTH_CAP:
-            raise InfeasibleError(
-                f"condition 2 not reached: lam={lam_at(sigma2):.3e}"
-            )
-    if steps:
-        lo, hi = sigma2 / FEASIBLE_GROWTH, sigma2
-        for _ in range(BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if lam_at(mid) >= lam_target:
-                hi = mid
-            else:
-                lo = mid
-        sigma2 = hi
-
+    sigma2 = _grow_then_bisect(margin2_ok, A.A23**2 + 1.0, 2)
     lam, _, gam = _condition_terms(A, theta2, sigma2, 1.0)
 
     # Condition 3 with margin: lam*vee >= 2*gam^2 + 1.  gam does not
@@ -209,25 +221,7 @@ def feasible_triple(A):
         vee = _condition_terms(A, theta2, sigma2, r2)[1]
         return vee > 0 and lam * vee >= 2.0 * gam**2 + 1.0
 
-    rho2 = 1.0
-    steps = 0
-    while not margin3_ok(rho2):
-        rho2 *= FEASIBLE_GROWTH
-        steps += 1
-        if steps > GROWTH_CAP:
-            raise InfeasibleError(
-                f"condition 3 not reached: margins={check_conditions(A, theta2, sigma2, rho2)}"
-            )
-    if steps:
-        lo, hi = rho2 / FEASIBLE_GROWTH, rho2
-        for _ in range(BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if margin3_ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        rho2 = hi
-
+    rho2 = _grow_then_bisect(margin3_ok, 1.0, 3)
     return theta2, sigma2, rho2
 
 

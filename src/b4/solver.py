@@ -336,11 +336,15 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
     Times are step_index * dt with absolute step indices, so a run
     resumed from step_offset reproduces the uninterrupted trajectory
     bit for bit.  Records, the probe values among them, are taken at
-    the step indices that record_every divides.  t_end is mapped to the
-    nearest whole step count, cfg.total_steps, which must lie past
-    step_offset.  With snapshot_every set, on_snapshot(state, step_index)
-    receives a copy of the state at every later step index that it
-    divides, as soon as that step is taken.
+    the step indices that record_every divides.  With snapshot_every
+    set, on_snapshot(state, step_index) receives a copy of the state at
+    every step index that it divides, as soon as that step is taken.
+    Both start at step 0 of a fresh run, and at the first step after
+    step_offset of a resumed one, whose start the earlier run emitted:
+    the records of a run and of its resumption concatenate to those of
+    the uninterrupted run.  t_end is mapped to the nearest whole step
+    count, cfg.total_steps, which must lie past step_offset.  Nothing
+    is emitted before every check has passed.
     """
     limit = stability_limit(
         params,
@@ -366,9 +370,12 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
     for k in range(step_offset, total_steps + 1):
         if k > step_offset:
             _advance(stencil, constants, cfg.dt, k)
+        elif k:
+            # The run that stopped at step_offset has emitted this step.
+            continue
         if k % cfg.record_every == 0:
             records.append(stencil.record(k * cfg.dt, ix, iy, dx, dy))
-        if k > step_offset and snapshot_every and k % snapshot_every == 0:
+        if snapshot_every and k % snapshot_every == 0:
             on_snapshot(_state_like(state0, fields), k)
 
     return SimulationResult(records, _state_like(state0, fields))

@@ -26,19 +26,11 @@ import numpy as np
 
 from .model import validate_params
 
-EIG_RESIDUAL_REL = 1e-8
 # Modes where |c4| or the Hurwitz determinant falls below this share of
 # size^4 or size^6 get their own eigenvalue test; size bounds every
 # eigenvalue's modulus.  About 5e4 machine epsilons: the census tests
 # already pass from 1e-16 on, and fail at 0.
 EDGE_ROUNDING = 1e-11
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    mu: float
-    eigenvalues: tuple
-    trace: float
 
 
 @dataclass(frozen=True)
@@ -67,23 +59,23 @@ def neumann_eigenvalues(Lx, Ly, count):
         j = np.arange(count, dtype=float)
         return math.pi**2 * j**2 / Lx**2
 
-    # Enumerate everything below a cutoff, growing it until the first
-    # `count` values are certainly complete.  The seed comes from the
-    # leading-order mode count of a rectangle, area * mu / (4 pi).
+    # Enumerate everything below a cutoff that holds at least `count`
+    # values.  Each lattice point (j, k) owns the unit cell above and to
+    # the right of it, and the cells of the points under mu cover the
+    # quarter ellipse pi^2 (j^2/Lx^2 + k^2/Ly^2) <= mu, so at least
+    # Lx Ly mu / (4 pi) points lie under mu.  The cutoff is 1.3 times
+    # the mu at which that area reaches `count`, plus a slack term.
     bound = 4.0 * math.pi * count / (Lx * Ly) * 1.3 + 16.0 * math.pi**2 * (
         1.0 / Lx**2 + 1.0 / Ly**2
     )
-    while True:
-        jmax = int(math.sqrt(bound) * Lx / math.pi) + 1
-        kmax = int(math.sqrt(bound) * Ly / math.pi) + 1
-        jj = (np.arange(jmax + 1, dtype=float) / Lx) ** 2
-        kk = (np.arange(kmax + 1, dtype=float) / Ly) ** 2
-        mu = (math.pi**2 * np.add.outer(jj, kk)).ravel()
-        mu = mu[mu <= bound]
-        if mu.size >= count:
-            mu.sort()
-            return mu[:count]
-        bound *= 2.0
+    jmax = int(math.sqrt(bound) * Lx / math.pi) + 1
+    kmax = int(math.sqrt(bound) * Ly / math.pi) + 1
+    jj = (np.arange(jmax + 1, dtype=float) / Lx) ** 2
+    kk = (np.arange(kmax + 1, dtype=float) / Ly) ** 2
+    mu = (math.pi**2 * np.add.outer(jj, kk)).ravel()
+    mu = mu[mu <= bound]
+    mu.sort()
+    return mu[:count]
 
 
 def mode_matrix(mu, params):
@@ -98,24 +90,6 @@ def mode_matrix(mu, params):
             [0.0, p.D4, -p.beta, -p.d * mu - p.D4 - a2],
         ],
         dtype=float,
-    )
-
-
-def mode_spectrum(mu, params):
-    """Eigenvalues of the mode matrix, residual-checked."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    M = mode_matrix(mu, params)
-    values, vectors = np.linalg.eig(M)
-    scale = np.linalg.norm(M)
-    residual = np.linalg.norm(M @ vectors - vectors * values, axis=0)
-    if np.any(residual > EIG_RESIDUAL_REL * max(scale, 1e-300)):
-        raise RuntimeError(f"eigenpair residual {residual.max():.3e} above tolerance")
-    ordered = np.sort_complex(values)[::-1]
-    return ModeSpectrum(
-        mu=float(mu),
-        eigenvalues=tuple(complex(x) for x in ordered),
-        trace=float(np.trace(M)),
     )
 
 

@@ -404,8 +404,6 @@ def largest_lyapunov(embedding, sample_interval=1.0, theiler=None):
     theiler = theiler_window(embedding, theiler)
     kmax = min(LYAP_MAX_STEPS, M // 4)
     limit = M - kmax
-    if limit < 2:
-        raise ValueError("series too short for the divergence horizon")
     n_refs = min(limit, LYAP_MAX_REFS)
     refs = np.unique(np.linspace(0, limit - 1, n_refs).astype(int))
     # Periodic signals revisit states to within rounding noise; pairing

@@ -232,6 +232,46 @@ def test_run_simulate_config_guards(tmp_path):
         )
 
 
+def chain_text(out_dir, t_end, extra=""):
+    return (
+        "nx = 20\nny = 1\nLx = 19\nLy = 1\nrecord_every = 24\nprobe_ix = 10\n"
+        f"t_end = {t_end}\nout_dir = {out_dir}\n" + extra
+    )
+
+
+@pytest.mark.parametrize("bad", ["probe_ix = 500", "nx = 2", "dt = 5"])
+def test_rejected_simulate_writes_no_file(tmp_path, capsys, bad):
+    # A probe off the grid, or a step past the stability limit, fails
+    # before the snapshot of step 0 is written.
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(chain_text(out, 10, extra=f"snapshot_every = 12\n{bad}\n"))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "numerical failure" not in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_retried_resume_matches_uninterrupted(tmp_path):
+    snapshots = "snapshot_every = 120\n"
+    run_simulate(parse_config(chain_text(tmp_path / "full", 20, snapshots)))
+    run_simulate(parse_config(chain_text(tmp_path / "split", 10, snapshots)))
+    ck = tmp_path / "ten.ck"
+    shutil.copy(tmp_path / "split" / "checkpoint.ck", ck)
+    rest = parse_config(chain_text(tmp_path / "split", 20, f"{snapshots}resume_from = {ck}\n"))
+    # The same resume twice, as a retry after a crash would run it.
+    run_simulate(rest)
+    run_simulate(rest)
+
+    names = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "split").iterdir())
+    assert len(names) == 8  # probe, norms, checkpoint, snapshots at t = 0, 5, ..., 20
+    for name in names:
+        assert (tmp_path / "full" / name).read_bytes() == (
+            tmp_path / "split" / name
+        ).read_bytes()
+    assert len((tmp_path / "split" / "probe.csv").read_text().splitlines()) == 22
+
+
 def sine_file(path, n=2000, sample_dt=1.0, period=100.0):
     t = np.arange(n) * sample_dt
     x = np.sin(2.0 * np.pi * t / period)

@@ -3,19 +3,21 @@
 ``oracle_write_csv`` is the per-value row writer and
 ``oracle_write_snapshot`` the ``np.savetxt`` field dump that ``b4.cli``
 used before every file went through ``_write_csv``.  For any rows and
-any state, new files and appended ones must come out byte for byte as
-the oracles write them, so the pinned CSV contracts (17 significant
-digits, ``true``/``false`` flags, integers in full) do not move.
+any state, new files and files cut after kept rows must come out byte
+for byte as the oracles write them, so the pinned CSV contracts (17
+significant digits, ``true``/``false`` flags, integers in full) do not
+move.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from b4.cli import _snapshot_rows, _write_csv
+from b4.cli import ConfigError, _snapshot_rows, _write_csv
 from b4.model import BC_DIRICHLET0, BC_NEUMANN, GridState
 
 
@@ -80,15 +82,43 @@ def test_rows_are_written_as_the_per_value_writer_wrote_them(tmp_path_factory, t
     header, rows, more_rows = table
     base = tmp_path_factory.mktemp("rows")
     got, want = base / "got.csv", base / "want.csv"
-    for append in (False, True):
-        _write_csv(got, header, rows, append=append)
+    # keep = 0 on a missing file writes a new one, as append did.
+    for keep, append in ((None, False), (0, True)):
+        _write_csv(got, header, rows, keep=keep)
         oracle_write_csv(want, header, rows, append=append)
         assert got.read_bytes() == want.read_bytes()
-        _write_csv(got, header, more_rows, append=True)
+        _write_csv(got, header, more_rows, keep=len(rows))
         oracle_write_csv(want, header, more_rows, append=True)
         assert got.read_bytes() == want.read_bytes()
         got.unlink()
         want.unlink()
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=tables(), data=st.data())
+def test_keep_cuts_after_the_kept_rows(tmp_path_factory, table, data):
+    header, rows, more_rows = table
+    keep = data.draw(st.integers(0, len(rows)))
+    base = tmp_path_factory.mktemp("keep")
+    got, want = base / "got.csv", base / "want.csv"
+    _write_csv(got, header, rows)
+    _write_csv(got, header, more_rows, keep=keep)
+    oracle_write_csv(want, header, rows[:keep])
+    oracle_write_csv(want, header, more_rows, append=True)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_keep_past_the_rows_a_file_holds_is_a_config_error(tmp_path):
+    path = tmp_path / "short.csv"
+    _write_csv(path, ["t"], [(0.0,), (1.0,)])
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="short.csv"):
+        _write_csv(path, ["t"], [(2.0,)], keep=3)
+    assert path.read_bytes() == before
+    # A row cut short, as by a crash during the write, is not kept.
+    path.write_bytes(before + b"2.5")
+    with pytest.raises(ConfigError, match="short.csv"):
+        _write_csv(path, ["t"], [(3.0,)], keep=3)
 
 
 field_values = st.one_of(

@@ -1,0 +1,39 @@
+"""The layer trace of ``perfbench/`` against the names it patches.
+
+``perfbench/layertrace.py`` replaces b4 functions by module attribute
+(``solver.laplacian``, ``cli.stability_limit``, ``cli.feasible_triple``,
+...), so a renamed or deleted function breaks ``perfbench/run.py
+--trace 1``.  This test installs the tracer and restores it, and fails
+on a missing name instead.
+"""
+
+import sys
+from pathlib import Path
+
+import b4.cli
+import b4.solver
+import b4.spectral
+import b4.tsa
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import layertrace  # noqa: E402
+
+MODULES = (b4.cli, b4.solver, b4.spectral, b4.tsa)
+
+
+def callables(module):
+    return {name: obj for name, obj in vars(module).items() if callable(obj)}
+
+
+def test_tracer_patches_its_names_and_restores_every_callable():
+    before = [callables(module) for module in MODULES]
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        assert tracer.patched
+        for module, attr, fn in tracer.patched:
+            assert getattr(module, attr) is not fn, f"{module.__name__}.{attr} not wrapped"
+    finally:
+        tracer.restore()
+    for module, saved in zip(MODULES, before):
+        assert callables(module) == saved, module.__name__
