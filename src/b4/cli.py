@@ -47,7 +47,6 @@ from .functionals import (
 )
 from .model import BC_NEUMANN, BC_TAGS, SystemParams, stationary_solution
 from .solver import (
-    Grid,
     SolverConfig,
     initial_condition,
     load_checkpoint,
@@ -136,12 +135,12 @@ class RunConfig:
     def system_params(self):
         return SystemParams(**{f.name: getattr(self, f.name) for f in fields(SystemParams)})
 
-    def grid(self):
+    def spacings(self):
         # Nodes sit on the domain ends, so spacing is L/(n-1); a
         # single-node direction keeps the full length as a placeholder.
         dx = self.Lx / (self.nx - 1) if self.nx > 1 else self.Lx
         dy = self.Ly / (self.ny - 1) if self.ny > 1 else self.Ly
-        return Grid(self.nx, self.ny, dx, dy, self.bc)
+        return dx, dy
 
     def analysis_config(self):
         return AnalysisConfig(threshold=self.threshold, m_max=self.m_max, theiler=self.theiler)
@@ -230,30 +229,37 @@ def _spec(kind):
     return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
-def _write_csv(path, header, rows, keep=None):
+def _kept_end(path, keep):
+    """The byte offset just past the header and the first ``keep`` rows of path.
+
+    None if there is no file; a file with fewer complete rows raises
+    ConfigError.
+    """
+    if not path.exists():
+        return None
+    with open(path, "rb") as fh:
+        for _ in range(keep + 1):
+            if not fh.readline().endswith(b"\n"):
+                raise ConfigError(f"{path} holds fewer than the {keep} rows to keep")
+        return fh.tell()
+
+
+def _write_csv(path, header, rows, at=None):
     """Write rows under a header into a new file.
 
-    With keep set and the file present, the file keeps its header and
-    its first ``keep`` rows, is cut after them, and gets the rows there
-    instead; a file with fewer complete rows raises ConfigError.
+    With ``at`` set, from ``_kept_end``, the file instead keeps its
+    first ``at`` bytes, is cut there, and gets the rows after them.
 
     Each value is typed on its own, not by its column: a bool is written
     as true or false, an integer (numpy's too) in full, anything else as
     a float with 17 significant digits.  Rows go out through one ``%``
     format per sequence of types, built once.
     """
-    kept = keep is not None and path.exists()
     formats = {}
-    with open(path, "r+" if kept else "w") as fh:
-        if kept:
-            for _ in range(keep + 1):
-                if not fh.readline().endswith("\n"):
-                    raise ConfigError(f"{path} holds fewer than the {keep} rows to keep")
-            # The text layer reads ahead; seek back to the end of the
-            # lines read before cutting there.
-            fh.seek(fh.tell())
-            fh.truncate()
-        else:
+    if at is not None:
+        os.truncate(path, at)
+    with open(path, "w" if at is None else "a") as fh:
+        if at is None:
             fh.write(",".join(header) + "\n")
         for row in rows:
             kinds = tuple(map(type, row))
@@ -262,12 +268,6 @@ def _write_csv(path, header, rows, keep=None):
             if bool in kinds:
                 row = [("false", "true")[v] if type(v) is bool else v for v in row]
             fh.write(formats[kinds] % tuple(row))
-
-
-def _auto_dt(params, nx, ny, dx, dy):
-    ex = dx if nx > 1 else math.inf
-    ey = dy if ny > 1 else math.inf
-    return min(1.0 / 24.0, stability_limit(params, ex, ey))
 
 
 def _snapshot_name(t):
@@ -326,22 +326,23 @@ def run_simulate(config):
     try:
         if resuming:
             state, params, start_step, _ = load_checkpoint(config.resume_from)
-            grid = config.grid()
             found = (state.nx, state.ny, state.bc)
-            wanted = (grid.nx, grid.ny, grid.bc)
+            wanted = (config.nx, config.ny, config.bc)
             if found != wanted:
                 raise ConfigError(
                     f"checkpoint grid {found} does not match the config grid {wanted}"
                 )
         else:
             params = config.system_params()
+            dx, dy = config.spacings()
+            base = stationary_solution(params)
             state = initial_condition(
-                config.grid(), stationary_solution(params), config.ic_amplitude, config.ic_seed
+                config.nx, config.ny, dx, dy, base, config.ic_amplitude, config.ic_seed, config.bc
             )
             start_step = 0
         dt = config.dt
         if dt is None:
-            dt = _auto_dt(params, state.nx, state.ny, state.dx, state.dy)
+            dt = min(1.0 / 24.0, stability_limit(params, state))
         run = SolverConfig(
             dt=dt,
             t_end=config.t_end,
@@ -350,6 +351,12 @@ def run_simulate(config):
         )
         if config.snapshot_every > 0:
             _check_snapshot_names(run, start_step, config.snapshot_every)
+        # A resume keeps the rows up to the checkpoint step, which the run
+        # that wrote it has written; None writes a new file.
+        probe_end, norms_end = (
+            _kept_end(path, start_step // config.record_every + 1) if resuming else None
+            for path in (probe_path, norms_path)
+        )
         out.mkdir(parents=True, exist_ok=True)
         result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
     except ValueError as exc:
@@ -357,16 +364,13 @@ def run_simulate(config):
         # checks, all point at the config.
         raise ConfigError(str(exc)) from None
 
-    # The rows up to the checkpoint step, which the run that wrote it
-    # has written; None writes new files.
-    keep = start_step // config.record_every + 1 if resuming else None
     # Weight of the second oscillator pair in the paired-norm monitor.
     delta = params.D2 / params.D4
     _write_csv(
         probe_path,
         ["t", "u", "v", "w", "z"],
         ((rec.t, *rec.probe_values.as_tuple()) for rec in result.records),
-        keep=keep,
+        at=probe_end,
     )
     _write_csv(
         norms_path,
@@ -382,7 +386,7 @@ def run_simulate(config):
             )
             for rec in result.records
         ),
-        keep=keep,
+        at=norms_end,
     )
 
     ck_path = out / "checkpoint.ck"

@@ -174,12 +174,6 @@ def reaction_fields(u, v, w, z, params, out=None):
     return f, g, h, k
 
 
-def reaction_terms(point, params):
-    """Reaction rates at a single state, as a Point4."""
-    rates = reaction_fields(point.u, point.v, point.w, point.z, params)
-    return Point4(*map(float, rates))
-
-
 def stationary_solution(params):
     """The spatially uniform steady state (alpha, beta/alpha, alpha, beta/alpha)."""
     if params.alpha <= 0:

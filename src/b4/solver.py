@@ -27,7 +27,6 @@ import numpy as np
 from .model import (
     BC_DIRICHLET0,
     BC_NEUMANN,
-    BC_TAGS,
     GridState,
     Point4,
     SystemParams,
@@ -55,20 +54,6 @@ class BlowUpError(RuntimeError):
         self.step_index = step_index
         self.max_abs = max_abs
         self.field_maxima = field_maxima
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Grid geometry: extents, spacings and the boundary treatment."""
-
-    nx: int
-    ny: int
-    dx: float
-    dy: float
-    bc: str = BC_NEUMANN
-
-    def __post_init__(self):
-        check_geometry(self.nx, self.ny, self.dx, self.dy, self.bc)
 
 
 @dataclass(frozen=True)
@@ -252,24 +237,25 @@ def laplacian(field, dx, dy, bc=BC_NEUMANN):
     field = np.asarray(field, dtype=float)
     if field.ndim != 2:
         raise ValueError("field must be 2-d (use extent 1 for a flat direction)")
-    if bc not in BC_TAGS:
-        raise ValueError(f"unknown boundary tag {bc!r}")
+    check_geometry(*field.shape, dx, dy, bc)
     stencil = _Stencil(field[None], dx, dy, bc)
     stencil.laplacian()
     return stencil.lap_fields[0].copy()
 
 
-def stability_limit(params, dx, dy=math.inf):
-    """Largest admissible forward-Euler step for these parameters.
+def stability_limit(params, state):
+    """Largest admissible forward-Euler step for these parameters on state's grid.
 
-    The diffusive bound is the usual one for the five-point stencil;
-    the reaction bound is a conservative linearization scale.
+    The diffusive bound is the usual one for the five-point stencil,
+    summed over the directions of extent above one: a direction of
+    extent one has no neighbours, so it adds no bound.  The reaction
+    bound is a conservative linearization scale.
     """
     bad = validate_params(params)
     if bad:
         raise ValueError(f"invalid parameters: {', '.join(bad)}")
-    inv_h2 = (0.0 if math.isinf(dx) else 1.0 / dx**2) + (
-        0.0 if math.isinf(dy) else 1.0 / dy**2
+    inv_h2 = (1.0 / state.dx**2 if state.nx > 1 else 0.0) + (
+        1.0 / state.dy**2 if state.ny > 1 else 0.0
     )
     if inv_h2 == 0.0:
         diffusive = math.inf
@@ -346,11 +332,7 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
     count, cfg.total_steps, which must lie past step_offset.  Nothing
     is emitted before every check has passed.
     """
-    limit = stability_limit(
-        params,
-        state0.dx if state0.nx > 1 else math.inf,
-        state0.dy if state0.ny > 1 else math.inf,
-    )
+    limit = stability_limit(params, state0)
     if cfg.dt > limit:
         raise ValueError(f"dt {cfg.dt:g} exceeds the stability limit {limit:g}")
     ix, iy = cfg.probe
@@ -381,7 +363,7 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
     return SimulationResult(records, _state_like(state0, fields))
 
 
-def initial_condition(grid, base, amplitude, seed):
+def initial_condition(nx, ny, dx, dy, base, amplitude, seed, bc=BC_NEUMANN):
     """Uniform base plus seeded uniform noise in [-amplitude, amplitude].
 
     Values are floored at zero so nonnegative bases stay nonnegative.
@@ -389,12 +371,12 @@ def initial_condition(grid, base, amplitude, seed):
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
     rng = np.random.default_rng(seed)
-    noise = rng.uniform(-1.0, 1.0, size=(4, grid.nx, grid.ny))
+    noise = rng.uniform(-1.0, 1.0, size=(4, nx, ny))
     fields = [
         np.maximum(component + amplitude * noise[i], 0.0)
         for i, component in enumerate(base.as_tuple())
     ]
-    return GridState(grid.nx, grid.ny, grid.dx, grid.dy, *fields, bc=grid.bc)
+    return GridState(nx, ny, dx, dy, *fields, bc=bc)
 
 
 def save_checkpoint(path, state, params, step_index, t):

@@ -43,12 +43,10 @@ from b4.model import (
     Point4,
     SystemParams,
     reaction_fields,
-    reaction_terms,
     stationary_solution,
     validate_params,
 )
 from b4.solver import (
-    Grid,
     SolverConfig,
     initial_condition,
     laplacian,
@@ -101,8 +99,8 @@ def test_stationary_state_is_an_exact_equilibrium():
         a, b, c, d = rng.uniform(1e-6, 1e-2, 4)
         params = SystemParams(alpha, beta, D1, D2, D3, D4, a, b, c, d)
         assert validate_params(params) == []
-        residual = reaction_terms(stationary_solution(params), params)
-        worst = max(worst, max(abs(r) for r in residual.as_tuple()))
+        residual = reaction_fields(*stationary_solution(params).as_tuple(), params)
+        worst = max(worst, max(abs(r) for r in residual))
     assert worst <= 1e-14
     assert time.perf_counter() - t0 < 1.0
 
@@ -333,13 +331,13 @@ def test_uniform_cycle_versus_spatially_coupled_chaos():
     # estimate sits well inside the windowed series.
     s0 = stationary_solution(NINE_PARAMS)
     displaced = Point4(s0.u + 0.5, s0.v, s0.w + 0.5, s0.z)
-    single = initial_condition(Grid(1, 1, 1.0, 1.0), displaced, 0.0, seed=0)
+    single = initial_condition(1, 1, 1.0, 1.0, displaced, 0.0, seed=0)
     x_uniform = probe_window(single, 2500.0, (0, 0), 500.0, 3)
     d_uniform, lam_uniform = dimension_and_rate(x_uniform, 3 * DT)
     assert abs(lam_uniform) <= 0.05
     assert 0.7 <= d_uniform <= 1.3
 
-    coupled = initial_condition(Grid(200, 1, 1.5e-3, 1.0), s0, 0.1, seed=1)
+    coupled = initial_condition(200, 1, 1.5e-3, 1.0, s0, 0.1, seed=1)
     x_coupled = probe_window(coupled, 2100.0, (100, 0), 100.0, 3)
     d_coupled, lam_coupled = dimension_and_rate(x_coupled, 3 * DT)
     assert lam_coupled > 0.0

@@ -22,7 +22,7 @@ from b4.cli import (
     serialize,
 )
 from b4.model import SystemParams, stationary_solution
-from b4.solver import Grid, initial_condition, save_checkpoint
+from b4.solver import initial_condition, save_checkpoint
 from b4.spectral import dimension_bounds
 
 
@@ -93,9 +93,9 @@ def test_exchange_rates_must_be_positive(tmp_path, capsys):
 
 def test_grid_spacing_puts_nodes_on_the_ends():
     cfg = parse_config("nx = 201\nny = 1\nLx = 200\n")
-    grid = cfg.grid()
-    assert grid.dx == 1.0
-    assert grid.dy == cfg.Ly  # single-node direction keeps the length
+    dx, dy = cfg.spacings()
+    assert dx == 1.0
+    assert dy == cfg.Ly  # single-node direction keeps the length
 
 
 def test_run_simulate_counting_contract(tmp_path):
@@ -157,7 +157,7 @@ def test_run_simulate_rejects_colliding_snapshot_names(tmp_path, capsys):
     # A resume from step 1000001 must not overwrite the snapshot of step
     # 1000000 (t = 10000) with that of step 1000004 (t = 10000.04).
     params = SystemParams()
-    state = initial_condition(Grid(1, 1, 1.0, 1.0), stationary_solution(params), 0.0, 0)
+    state = initial_condition(1, 1, 1.0, 1.0, stationary_solution(params), 0.0, 0)
     ck = tmp_path / "late.ck"
     save_checkpoint(ck, state, params, 1000001, 1000001 * 0.01)
     resume = parse_config(
@@ -270,6 +270,21 @@ def test_retried_resume_matches_uninterrupted(tmp_path):
             tmp_path / "split" / name
         ).read_bytes()
     assert len((tmp_path / "split" / "probe.csv").read_text().splitlines()) == 22
+
+
+def test_resume_checks_the_kept_rows_before_it_integrates(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_simulate(parse_config(chain_text(out, 10, "snapshot_every = 120\n")))
+    norms = out / "norms.csv"
+    norms.write_text("".join(norms.read_text().splitlines(keepends=True)[:5]))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: pytest.fail("simulate ran"))
+    rest = parse_config(
+        chain_text(out, 20, f"snapshot_every = 120\nresume_from = {out / 'checkpoint.ck'}\n")
+    )
+    with pytest.raises(ConfigError, match="norms.csv holds fewer than the 11 rows"):
+        run_simulate(rest)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def sine_file(path, n=2000, sample_dt=1.0, period=100.0):

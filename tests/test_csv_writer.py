@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from b4.cli import ConfigError, _snapshot_rows, _write_csv
+from b4.cli import ConfigError, _kept_end, _snapshot_rows, _write_csv
 from b4.model import BC_DIRICHLET0, BC_NEUMANN, GridState
 
 
@@ -36,6 +36,11 @@ def oracle_write_csv(path, header, rows, append=False):
             fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(oracle_fmt(v) for v in row) + "\n")
+
+
+def write_kept(path, header, rows, keep=None):
+    """``_write_csv`` after the first ``keep`` rows of path, as a resume writes."""
+    _write_csv(path, header, rows, at=None if keep is None else _kept_end(path, keep))
 
 
 def oracle_write_snapshot(path, state):
@@ -84,10 +89,10 @@ def test_rows_are_written_as_the_per_value_writer_wrote_them(tmp_path_factory, t
     got, want = base / "got.csv", base / "want.csv"
     # keep = 0 on a missing file writes a new one, as append did.
     for keep, append in ((None, False), (0, True)):
-        _write_csv(got, header, rows, keep=keep)
+        write_kept(got, header, rows, keep)
         oracle_write_csv(want, header, rows, append=append)
         assert got.read_bytes() == want.read_bytes()
-        _write_csv(got, header, more_rows, keep=len(rows))
+        write_kept(got, header, more_rows, len(rows))
         oracle_write_csv(want, header, more_rows, append=True)
         assert got.read_bytes() == want.read_bytes()
         got.unlink()
@@ -102,7 +107,7 @@ def test_keep_cuts_after_the_kept_rows(tmp_path_factory, table, data):
     base = tmp_path_factory.mktemp("keep")
     got, want = base / "got.csv", base / "want.csv"
     _write_csv(got, header, rows)
-    _write_csv(got, header, more_rows, keep=keep)
+    write_kept(got, header, more_rows, keep)
     oracle_write_csv(want, header, rows[:keep])
     oracle_write_csv(want, header, more_rows, append=True)
     assert got.read_bytes() == want.read_bytes()
@@ -113,12 +118,12 @@ def test_keep_past_the_rows_a_file_holds_is_a_config_error(tmp_path):
     _write_csv(path, ["t"], [(0.0,), (1.0,)])
     before = path.read_bytes()
     with pytest.raises(ConfigError, match="short.csv"):
-        _write_csv(path, ["t"], [(2.0,)], keep=3)
+        write_kept(path, ["t"], [(2.0,)], 3)
     assert path.read_bytes() == before
     # A row cut short, as by a crash during the write, is not kept.
     path.write_bytes(before + b"2.5")
     with pytest.raises(ConfigError, match="short.csv"):
-        _write_csv(path, ["t"], [(3.0,)], keep=3)
+        write_kept(path, ["t"], [(3.0,)], 3)
 
 
 field_values = st.one_of(

@@ -15,7 +15,7 @@ import numpy as np
 
 from b4.cli import parse_config, run_analyze, run_simulate
 from b4.model import SystemParams, stationary_solution
-from b4.solver import Grid, SolverConfig, initial_condition, simulate
+from b4.solver import SolverConfig, initial_condition, simulate
 from b4.tsa import AnalysisConfig, albano_dimension, largest_lyapunov
 
 # The byte-identity run of the acceptance suite.
@@ -118,9 +118,7 @@ def test_sheet_run_outputs_are_pinned_straight_and_resumed(tmp_path):
 
 def test_chain_probe_series_and_final_fields_are_pinned():
     params = SystemParams(a=0.02, b=0.04, c=0.06, d=0.08)
-    state = initial_condition(
-        Grid(40, 1, 0.5, 1.0), stationary_solution(params), 0.05, seed=3
-    )
+    state = initial_condition(40, 1, 0.5, 1.0, stationary_solution(params), 0.05, seed=3)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=20.0, record_every=1, probe=(7, 0))
     result = simulate(state, params, cfg)
     # (t, u, v, w, z) at every step, as a (481, 5) float64 array

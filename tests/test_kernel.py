@@ -176,7 +176,7 @@ def runs(draw):
     bc = draw(st.sampled_from([BC_NEUMANN, BC_DIRICHLET0]))
     params = draw(params_strategy)
     dx, dy = draw(spacings), draw(spacings)
-    limit = stability_limit(params, dx if nx > 1 else math.inf, dy if ny > 1 else math.inf)
+    limit = stability_limit(params, GridState(nx, ny, dx, dy, *np.zeros((4, nx, ny)), bc=bc))
     dt = limit * draw(st.floats(0.01, 1.0))
     scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e3, 1e6]))
     data = draw(arrays(np.float64, (4, nx, ny), elements=values)) * scale
@@ -231,7 +231,7 @@ def test_uniform_stationary_state_stays_exact_for_2000_steps(nx, ny):
     params = SystemParams()
     base = stationary_solution(params).as_tuple()
     state = GridState(nx, ny, 1.0, 1.0, *(np.full((nx, ny), c) for c in base))
-    dt = stability_limit(params, 1.0 if nx > 1 else math.inf, 1.0 if ny > 1 else math.inf)
+    dt = stability_limit(params, state)
     cfg = SolverConfig(dt=dt, t_end=2000 * dt, record_every=1)
     # A padding cell above the stationary peak would raise a false blow-up.
     with mock.patch.object(solver, "BLOWUP_LIMIT", max(base)):
@@ -249,7 +249,7 @@ def test_zero_walls_never_report_a_peak_above_the_interior():
     data = base * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, (4, 12, 9)))
     stencil = _Stencil(data, 1.0, 1.0, BC_DIRICHLET0)
     constants = _constants(params)
-    dt = stability_limit(params, 1.0, 1.0)
+    dt = stability_limit(params, GridState(12, 9, 1.0, 1.0, *data, bc=BC_DIRICHLET0))
     with mock.patch.object(solver, "BLOWUP_LIMIT", -1.0):
         for k in range(1, 401):
             with pytest.raises(BlowUpError) as info:

@@ -8,11 +8,10 @@ from b4.model import (
     Point4,
     SystemParams,
     reaction_fields,
-    reaction_terms,
     stationary_solution,
     validate_params,
 )
-from b4.solver import Grid
+from b4.solver import initial_condition
 
 
 def random_params(rng):
@@ -34,8 +33,8 @@ def test_stationary_point_is_a_zero_of_the_reaction():
     rng = np.random.default_rng(11)
     for _ in range(50):
         p = random_params(rng)
-        r = reaction_terms(stationary_solution(p), p)
-        assert max(abs(x) for x in r.as_tuple()) <= 1e-14
+        r = reaction_fields(*stationary_solution(p).as_tuple(), p)
+        assert max(abs(x) for x in r) <= 1e-14
 
 
 def test_stationary_solution_values():
@@ -58,15 +57,15 @@ def test_stationary_solution_values():
 
 def test_reaction_at_origin_reduces_to_feed_rate():
     p = SystemParams(alpha=2.0)
-    assert reaction_terms(Point4(0, 0, 0, 0), p).as_tuple() == (2.0, 0.0, 2.0, 0.0)
+    assert reaction_fields(*Point4(0, 0, 0, 0).as_tuple(), p) == (2.0, 0.0, 2.0, 0.0)
 
 
 def test_reaction_hand_computed_at_unit_state():
     # alpha=2, beta=5.5, all four fields equal one: the cross terms
     # D_i*(other - own) vanish, leaving f = 2 - 6.5 + 1 and g = 5.5 - 1.
     p = SystemParams()
-    r = reaction_terms(Point4(1, 1, 1, 1), p)
-    assert r.as_tuple() == pytest.approx((-3.5, 4.5, -3.5, 4.5), abs=1e-15)
+    r = reaction_fields(*Point4(1, 1, 1, 1).as_tuple(), p)
+    assert r == pytest.approx((-3.5, 4.5, -3.5, 4.5), abs=1e-15)
 
 
 def test_pair_sums_cancel_cubic_terms():
@@ -134,7 +133,7 @@ def test_geometry_rejects_empty_grids_and_non_finite_spacings():
         (3, 0, 1.0, 1.0),
     ):
         with pytest.raises(ValueError):
-            Grid(nx, ny, dx, dy)
+            initial_condition(nx, ny, dx, dy, Point4(1, 1, 1, 1), 0.0, seed=0)
         field = np.ones((nx, ny))
         with pytest.raises(ValueError):
             GridState(nx, ny, dx, dy, field, field, field, field)

@@ -16,7 +16,6 @@ from b4.model import (
 )
 from b4.solver import (
     BlowUpError,
-    Grid,
     SolverConfig,
     initial_condition,
     laplacian,
@@ -91,27 +90,39 @@ def test_laplacian_rejects_bad_grids():
         laplacian(np.ones((5, 2)), 1.0, 1.0, BC_NEUMANN)
     with pytest.raises(ValueError):
         laplacian(np.ones((5, 5)), 1.0, 1.0, "periodic")
+    for dx in (0.0, math.nan, -1.0):
+        with pytest.raises(ValueError, match="dx"):
+            laplacian(np.arange(9.0).reshape(3, 3), dx, 1.0, BC_NEUMANN)
     # extent one in one direction is the supported flat mode
     assert laplacian(np.ones((5, 1)), 1.0, 1.0, BC_NEUMANN).shape == (5, 1)
 
 
 def test_stability_limit_reference_values():
-    got = stability_limit(TABLE_PARAMS, 1.0, 1.0)
+    def limit(params, nx, ny, dx, dy):
+        return stability_limit(params, uniform_state((0, 0, 0, 0), nx, ny, dx, dy))
+
+    got = limit(TABLE_PARAMS, 5, 5, 1.0, 1.0)
     assert got == pytest.approx(0.5 / 6.626, rel=1e-12)
     assert 1.0 / 24.0 < got
 
     fast = SystemParams(a=360.0, b=360.0, c=360.0, d=360.0)
-    assert stability_limit(fast, 1.0, 1.0) == pytest.approx(1.0 / 1440.0, rel=1e-12)
+    assert limit(fast, 5, 5, 1.0, 1.0) == pytest.approx(1.0 / 1440.0, rel=1e-12)
 
     quarter = SystemParams(a=0.25, b=0.25, c=0.25, d=0.25)
     # diffusive component is exactly 1 here, so the reaction scale wins
-    assert stability_limit(quarter, 1.0, 1.0) == pytest.approx(0.5 / 6.626, rel=1e-12)
+    assert limit(quarter, 5, 5, 1.0, 1.0) == pytest.approx(0.5 / 6.626, rel=1e-12)
 
     slow = SystemParams(beta=1e-9, D1=1e-9, D2=1e-9, D3=1e-9, D4=1e-9)
-    assert stability_limit(slow, 1e6, 1e6) == pytest.approx(0.5, rel=1e-6)
+    assert limit(slow, 5, 5, 1e6, 1e6) == pytest.approx(0.5, rel=1e-6)
 
-    one_d = stability_limit(SystemParams(a=2.0, b=1.0, c=1.0, d=1.0), 0.1, math.inf)
+    chain = SystemParams(a=2.0, b=1.0, c=1.0, d=1.0)
+    one_d = limit(chain, 200, 1, 0.1, 1.0)
     assert one_d == pytest.approx(min(0.1**2 / 4.0, 0.5 / 6.626), rel=1e-12)
+    # A direction of extent one adds no diffusive bound, whatever its spacing.
+    assert limit(chain, 200, 1, 0.1, 1e-9) == one_d
+    assert limit(chain, 1, 200, 1e-9, 0.1) == limit(chain, 1, 200, 1.0, 0.1) == one_d
+    reaction = 0.5 / (chain.beta + 1.0 + max(chain.D1, chain.D2, chain.D3, chain.D4))
+    assert limit(chain, 1, 1, 1e-9, 1e-9) == reaction
 
 
 def test_step_zero_diffusivities_is_pointwise_euler():
@@ -168,8 +179,8 @@ def test_step_blowup_guard():
 
 
 def test_simulate_from_zero_initial_data():
-    grid = Grid(8, 1, 1.0, 1.0)
-    state = initial_condition(grid, Point4(0, 0, 0, 0), 0.0, seed=1)
+    grid = (8, 1, 1.0, 1.0)
+    state = initial_condition(*grid, Point4(0, 0, 0, 0), 0.0, seed=1)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=2.0, record_every=12)
     result = simulate(state, TABLE_PARAMS, cfg)
     final = result.final_state
@@ -181,8 +192,8 @@ def test_simulate_from_zero_initial_data():
 
 
 def test_simulate_record_cadence_and_probe_shape():
-    grid = Grid(4, 1, 1.0, 1.0)
-    state = initial_condition(grid, stationary_solution(TABLE_PARAMS), 1e-3, seed=3)
+    grid = (4, 1, 1.0, 1.0)
+    state = initial_condition(*grid, stationary_solution(TABLE_PARAMS), 1e-3, seed=3)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=1.0, record_every=10, probe=(2, 0))
     result = simulate(state, TABLE_PARAMS, cfg)
     assert [round(r.t * 24) for r in result.records] == [0, 10, 20]
@@ -192,8 +203,8 @@ def test_simulate_record_cadence_and_probe_shape():
 
 
 def test_simulate_guards():
-    grid = Grid(4, 1, 1.0, 1.0)
-    state = initial_condition(grid, stationary_solution(TABLE_PARAMS), 0.0, seed=0)
+    grid = (4, 1, 1.0, 1.0)
+    state = initial_condition(*grid, stationary_solution(TABLE_PARAMS), 0.0, seed=0)
     with pytest.raises(ValueError):
         simulate(state, TABLE_PARAMS, SolverConfig(dt=0.1, t_end=1.0))
     for probe in ((9, 0), (-1, 0)):
@@ -204,8 +215,8 @@ def test_simulate_guards():
 
 
 def test_simulate_blowup_diagnostics():
-    grid = Grid(4, 1, 1.0, 1.0)
-    state = initial_condition(grid, Point4(1e5, 1e5, 1e5, 1e5), 0.0, seed=0)
+    grid = (4, 1, 1.0, 1.0)
+    state = initial_condition(*grid, Point4(1e5, 1e5, 1e5, 1e5), 0.0, seed=0)
     with pytest.raises(BlowUpError) as info:
         simulate(state, TABLE_PARAMS, SolverConfig(dt=1.0 / 24.0, t_end=1.0))
     err = info.value
@@ -216,11 +227,11 @@ def test_simulate_blowup_diagnostics():
 
 
 def test_simulate_deterministic():
-    grid = Grid(16, 1, 0.5, 1.0)
+    grid = (16, 1, 0.5, 1.0)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=3.0, record_every=1)
     base = stationary_solution(TABLE_PARAMS)
-    r1 = simulate(initial_condition(grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
-    r2 = simulate(initial_condition(grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
+    r1 = simulate(initial_condition(*grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
+    r2 = simulate(initial_condition(*grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
     assert len(r1.records) == 73
     assert r1.records == r2.records
     for f1, f2 in zip(r1.final_state.fields(), r2.final_state.fields()):
@@ -228,9 +239,9 @@ def test_simulate_deterministic():
 
 
 def test_simulate_resume_is_bit_identical(tmp_path):
-    grid = Grid(12, 1, 0.5, 1.0)
+    grid = (12, 1, 0.5, 1.0)
     base = stationary_solution(TABLE_PARAMS)
-    state0 = initial_condition(grid, base, 1e-3, 21)
+    state0 = initial_condition(*grid, base, 1e-3, 21)
     full_cfg = SolverConfig(dt=1.0 / 24.0, t_end=4.0, record_every=1)
     full = simulate(state0, TABLE_PARAMS, full_cfg)
 
@@ -248,26 +259,26 @@ def test_simulate_resume_is_bit_identical(tmp_path):
 
 
 def test_initial_condition_contract():
-    grid = Grid(20, 3, 1.0, 1.0)
+    grid = (20, 3, 1.0, 1.0)
     base = Point4(2.0, 2.75, 2.0, 2.75)
-    flat = initial_condition(grid, base, 0.0, seed=4)
+    flat = initial_condition(*grid, base, 0.0, seed=4)
     assert np.all(flat.u == 2.0) and np.all(flat.v == 2.75)
 
-    a = initial_condition(grid, base, 1e-3, seed=4)
-    b = initial_condition(grid, base, 1e-3, seed=4)
-    c = initial_condition(grid, base, 1e-3, seed=5)
+    a = initial_condition(*grid, base, 1e-3, seed=4)
+    b = initial_condition(*grid, base, 1e-3, seed=4)
+    c = initial_condition(*grid, base, 1e-3, seed=5)
     for f1, f2 in zip(a.fields(), b.fields()):
         assert np.array_equal(f1, f2)
     assert any(not np.array_equal(f1, f3) for f1, f3 in zip(a.fields(), c.fields()))
     for field, center in zip(a.fields(), base.as_tuple()):
         assert np.all(field >= center - 1e-3) and np.all(field <= center + 1e-3)
 
-    clamped = initial_condition(grid, Point4(0.01, 0.01, 0.01, 0.01), 1.0, seed=6)
+    clamped = initial_condition(*grid, Point4(0.01, 0.01, 0.01, 0.01), 1.0, seed=6)
     assert all(np.all(f >= 0) for f in clamped.fields())
     assert any(np.any(f == 0.0) for f in clamped.fields())
 
     with pytest.raises(ValueError):
-        initial_condition(grid, base, -0.1, seed=0)
+        initial_condition(*grid, base, -0.1, seed=0)
 
 
 def test_checkpoint_roundtrip_and_validation(tmp_path):
@@ -369,8 +380,8 @@ def test_a_checkpoint_write_that_fails_partway_keeps_the_previous_one(tmp_path, 
 
 
 def test_positivity_short_run():
-    grid = Grid(50, 1, 2.0, 1.0)
-    state = initial_condition(grid, stationary_solution(TABLE_PARAMS), 1e-3, seed=2)
+    grid = (50, 1, 2.0, 1.0)
+    state = initial_condition(*grid, stationary_solution(TABLE_PARAMS), 1e-3, seed=2)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=50.0, record_every=24)
     result = simulate(state, TABLE_PARAMS, cfg)
     worst = min(min(rec.mins) for rec in result.records)
@@ -381,12 +392,12 @@ def test_bounded_norms_insensitive_to_ic_amplitude():
     # Runs long enough for both trajectories to settle onto the same
     # attractor; the supremum of the summed squared norms over the
     # second half should then agree within twenty percent.
-    grid = Grid(64, 1, 2.0, 1.0)
+    grid = (64, 1, 2.0, 1.0)
     base = stationary_solution(TABLE_PARAMS)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=500.0, record_every=24)
 
     def tail_sup(amplitude):
-        state = initial_condition(grid, base, amplitude, seed=13)
+        state = initial_condition(*grid, base, amplitude, seed=13)
         result = simulate(state, TABLE_PARAMS, cfg)
         tail = [r for r in result.records if r.t >= cfg.t_end / 2]
         return max(sum(n**2 for n in r.l2_norms) for r in tail)
