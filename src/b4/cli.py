@@ -229,18 +229,29 @@ def _spec(kind):
     return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
-def _kept_end(path, keep):
+def _kept_end(path, keep, t=None):
     """The byte offset just past the header and the first ``keep`` rows of path.
 
-    None if there is no file; a file with fewer complete rows raises
-    ConfigError.
+    None if there is no file.  A file with fewer complete rows raises
+    ConfigError, and so does one whose last kept row is not at time t,
+    when t is given.
     """
     if not path.exists():
         return None
     with open(path, "rb") as fh:
         for _ in range(keep + 1):
-            if not fh.readline().endswith(b"\n"):
+            row = fh.readline()
+            if not row.endswith(b"\n"):
                 raise ConfigError(f"{path} holds fewer than the {keep} rows to keep")
+        if t is not None:
+            # t was written with 17 significant digits, so it reads back exactly.
+            found = float(row.split(b",", 1)[0])
+            if found != t:
+                raise ConfigError(
+                    f"{path} row {keep + 1} is at t = {found!r}, not at t = {t!r}, the "
+                    "last record up to the checkpoint; resume with the dt and "
+                    "record_every of the run that wrote the files"
+                )
         return fh.tell()
 
 
@@ -309,8 +320,9 @@ def run_simulate(config):
     state.  With resume_from pointing at a checkpoint, probe.csv and
     norms.csv keep their rows up to the checkpoint step and get the new
     rows after them, so the files are byte-identical to those of an
-    uninterrupted run, also when the same resume runs again.  Returns
-    the written paths.
+    uninterrupted run, also when the same resume runs again.  A resume
+    whose dt or record_every differs from the run that wrote the files
+    raises ConfigError before it integrates.  Returns the written paths.
     """
     out = Path(config.out_dir)
     probe_path = out / "probe.csv"
@@ -325,7 +337,7 @@ def run_simulate(config):
     resuming = bool(config.resume_from)
     try:
         if resuming:
-            state, params, start_step, _ = load_checkpoint(config.resume_from)
+            state, params, start_step, start_t = load_checkpoint(config.resume_from)
             found = (state.nx, state.ny, state.bc)
             wanted = (config.nx, config.ny, config.bc)
             if found != wanted:
@@ -343,6 +355,12 @@ def run_simulate(config):
         dt = config.dt
         if dt is None:
             dt = min(1.0 / 24.0, stability_limit(params, state))
+        if resuming and start_step * dt != start_t:
+            raise ConfigError(
+                f"dt = {dt!r} puts the checkpoint's step {start_step} at "
+                f"t = {start_step * dt!r}, but the checkpoint is at t = {start_t!r}; "
+                "resume with the dt and record_every of the run that wrote it"
+            )
         run = SolverConfig(
             dt=dt,
             t_end=config.t_end,
@@ -353,8 +371,9 @@ def run_simulate(config):
             _check_snapshot_names(run, start_step, config.snapshot_every)
         # A resume keeps the rows up to the checkpoint step, which the run
         # that wrote it has written; None writes a new file.
+        kept = start_step // config.record_every
         probe_end, norms_end = (
-            _kept_end(path, start_step // config.record_every + 1) if resuming else None
+            _kept_end(path, kept + 1, kept * config.record_every * dt) if resuming else None
             for path in (probe_path, norms_path)
         )
         out.mkdir(parents=True, exist_ok=True)
@@ -409,8 +428,8 @@ def _read_series(path, column):
 
     Accepts a headered CSV (column picked by name, spacing taken from a
     ``t`` column when present) or a headerless single-column file.
-    Non-numeric or non-finite data raises ConfigError naming the
-    offending row.
+    Non-numeric or non-finite data, and a ``t`` that does not rise,
+    raise ConfigError naming the offending row.
     """
     try:
         text = Path(path).read_text()
@@ -466,9 +485,14 @@ def _read_series(path, column):
 
     interval = 1.0
     if times is not None and times.size >= 2:
-        interval = float(np.median(np.diff(times)))
-        if interval <= 0:
-            raise ConfigError(f"{path}: time column must be increasing")
+        steps = np.diff(times)
+        if not (steps > 0).all():
+            lineno, line = data[int(np.argmin(steps > 0)) + 1]
+            raise ConfigError(
+                f"{path} row {lineno}: time column must be strictly increasing, "
+                f"got {line!r}"
+            )
+        interval = float(np.median(steps))
     return values, interval
 
 
@@ -518,17 +542,14 @@ def run_bounds(config):
             f"bc = {config.bc}: bounds needs bc = {BC_NEUMANN}, since under "
             f"{config.bc} the uniform state is not an equilibrium"
         )
-    params = config.system_params()
-    one_d = config.N == 1
     report = dimension_bounds(
-        params,
+        config.system_params(),
         config.N,
+        config.Lx,
+        None if config.N == 1 else config.Ly,
         K_prime=config.K_prime,
         K1=config.K1,
         C_upper=config.C_upper,
-        omega_volume=config.Lx if one_d else config.Lx * config.Ly,
-        Lx=config.Lx,
-        Ly=None if one_d else config.Ly,
         max_modes=config.max_modes,
     )
     out = Path(config.out_dir)

@@ -1,13 +1,13 @@
 """Quadratic-form machinery controlling solution growth.
 
-The degree-n form eval_Hn is a weighted multinomial in (u, v, w, z)
+The degree-n form hn_fields is a weighted multinomial in (u, v, w, z)
 whose weights come from three geometric-ratio coefficient sequences.
 Its second-derivative structure produces, for each index triple
 (r, q, p), a symmetric 4x4 matrix whose positive definiteness makes the
 diffusive part of d/dt eval_Ln nonpositive.  Definiteness reduces to
 three scalar inequalities on the sequence generators (theta2, sigma2,
 rho2), checked here together with a search for a feasible generator
-triple and closed-form expressions for the leading principal minors.
+triple and the leading principal minors of each matrix.
 """
 
 from __future__ import annotations
@@ -75,12 +75,6 @@ class CoefficientSequences:
     theta2: float
     sigma2: float
     rho2: float
-    C_theta: float
-    C_sigma: float
-    C_rho: float
-    theta0: float
-    sigma0: float
-    rho0: float
 
     @property
     def n(self):
@@ -269,12 +263,6 @@ def sequences_for_triple(triple, n):
         theta2=theta2,
         sigma2=sigma2,
         rho2=rho2,
-        C_theta=Ct,
-        C_sigma=Cs,
-        C_rho=Cr,
-        theta0=t0,
-        sigma0=s0,
-        rho0=r0,
     )
 
 
@@ -343,71 +331,14 @@ def sylvester_minors(M):
     )
 
 
-def minor_closed_forms(r, q, p, seqs, a, b, c, d):
-    """Closed-form values of the four leading minors of brqp_matrix.
-
-    Independent of the determinant expansion in sylvester_minors; used
-    to cross-check it.  Requires the sequences to carry generators
-    (CoefficientSequences), since the forms involve theta2/sigma2/rho2.
-    """
-    A = coupling_constants(a, b, c, d)
-    lam, vee, gam = _condition_terms(A, seqs.theta2, seqs.sigma2, seqs.rho2)
-    th, sg, rh = seqs.theta, seqs.sigma, seqs.rho
-    t = seqs.theta2 - A.A12**2
-    d1 = a * rh[p + 2] * sg[q + 2] * th[r + 2]
-    d2 = a * b * rh[p + 2] ** 2 * sg[q + 2] ** 2 * th[r + 1] ** 2 * t
-    d3 = (
-        a * b * c
-        * rh[p + 2] ** 3
-        * sg[q + 2]
-        * sg[q + 1] ** 2
-        * th[r + 1] ** 2
-        * th[r]
-        * lam
-    )
-    d4 = (
-        a * b * c * d
-        * rh[p + 2] ** 2
-        * rh[p + 1] ** 2
-        * sg[q + 1] ** 4
-        * th[r + 1] ** 2
-        * th[r] ** 2
-        * (lam * vee - gam**2)
-        / t
-    )
-    return MinorSet(d1=d1, d2=d2, d3=d3, d4=d4)
-
-
-def bordered_minor_parts(M):
-    """The (P, Q, R) combination whose PQ - R^2 equals a scaled det.
-
-    For a symmetric 4x4 matrix with entries m_ij,
-      m11^2 * (m11*m22 - m12^2) * det M == P*Q - R^2
-    with P, Q, R the three bordered 2x2-style combinations below.
-    """
-    m = np.asarray(M, float)
-    d12 = m[0, 0] * m[1, 1] - m[0, 1] ** 2
-    b13 = m[0, 0] * m[1, 2] - m[0, 1] * m[0, 2]
-    b14 = m[0, 0] * m[1, 3] - m[0, 1] * m[0, 3]
-    P = d12 * (m[0, 0] * m[2, 2] - m[0, 2] ** 2) - b13**2
-    Q = d12 * (m[0, 0] * m[3, 3] - m[0, 3] ** 2) - b14**2
-    R = d12 * (m[0, 0] * m[2, 3] - m[0, 2] * m[0, 3]) - b13 * b14
-    return P, Q, R
-
-
-def eval_Hn(point, seqs, n):
-    """Degree-n weighted multinomial form at one state.
+def hn_fields(u, v, w, z, seqs, n):
+    """Degree-n weighted multinomial form at each field sample.
 
     Triple sum over 0 <= r <= q <= p <= n of trinomial-product binomial
     coefficients times theta[r]*sigma[q]*rho[p] times
     u^r v^(q-r) w^(p-q) z^(n-p).  With all-ones sequences this is
     exactly (u+v+w+z)^n.
     """
-    return float(hn_fields(point.u, point.v, point.w, point.z, seqs, n))
-
-
-def hn_fields(u, v, w, z, seqs, n):
-    """Vectorized eval_Hn over arrays of field samples."""
     if n < 1:
         raise ValueError("n must be at least 1")
     theta, sigma, rho = _seq_arrays(seqs)
@@ -437,15 +368,6 @@ def hn_fields(u, v, w, z, seqs, n):
 def eval_Ln(state, seqs, n):
     """Grid integral of the degree-n form (midpoint quadrature)."""
     values = hn_fields(state.u, state.v, state.w, state.z, seqs, n)
-    return float(values.sum() * state.dx * state.dy)
-
-
-def eval_Kp(state, p, D2, D4):
-    """Grid integral of v^p + (D2/D4) * z^p."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    delta = D2 / D4
-    values = state.v**p + delta * state.z**p
     return float(values.sum() * state.dx * state.dy)
 
 

@@ -36,8 +36,6 @@ EDGE_ROUNDING = 1e-11
 @dataclass(frozen=True)
 class BoundReport:
     lower_bound_base: object
-    N: int
-    K_prime: object
     lower: object
     upper: float
     trace_unstable_count: int = None
@@ -196,24 +194,15 @@ def lower_bound_base(params):
     return _trace_bracket(params) / (params.a + params.b + params.c + params.d)
 
 
-def dimension_bounds(
-    params,
-    N,
-    K_prime=1,
-    K1=1,
-    C_upper=1,
-    omega_volume=1,
-    Lx=None,
-    Ly=None,
-    max_modes=None,
-):
-    """Attractor-dimension bound report.
+def dimension_bounds(params, N, Lx, Ly=None, K_prime=1, K1=1, C_upper=1, max_modes=None):
+    """Attractor-dimension bound report for the Lx x Ly rectangle.
 
     lower = K_prime * max(base, 0)^(N/2) with base from
-    lower_bound_base; upper = (C_upper/K1)^(3/2) * omega_volume + 1.
+    lower_bound_base; upper = (C_upper/K1)^(3/2) * |Omega| + 1, where
+    |Omega| is Lx * Ly, or Lx for the interval that Ly=None gives.
     The upper-bound constants are user inputs (default 1): the formula
-    is exposed as an evaluator, not a claimed number.  When Lx and
-    max_modes are given the unstable-mode counts are filled in too.
+    is exposed as an evaluator, not a claimed number.  When max_modes
+    is given the unstable-mode counts of that domain are filled in too.
     """
     if N not in (1, 2, 3):
         raise ValueError("N must be 1, 2 or 3")
@@ -226,27 +215,16 @@ def dimension_bounds(
     else:
         powered = math.sqrt(clamped) ** N
     lower = K_prime * powered
-    upper = float(C_upper / K1) ** 1.5 * float(omega_volume) + 1.0
+    volume = Lx if Ly is None else Lx * Ly
+    upper = float(C_upper / K1) ** 1.5 * float(volume) + 1.0
 
     trace_count = full_count = None
-    if Lx is not None and max_modes is not None:
+    if max_modes is not None:
         trace_count, full_count = unstable_mode_count(params, Lx, Ly, max_modes)
     return BoundReport(
         lower_bound_base=base,
-        N=N,
-        K_prime=K_prime,
         lower=lower,
         upper=upper,
         trace_unstable_count=trace_count,
         full_unstable_count=full_count,
     )
-
-
-def extract_Kprime(d_observed, params, N):
-    """Constant making the lower-bound formula reproduce d_observed."""
-    if N not in (1, 2, 3):
-        raise ValueError("N must be 1, 2 or 3")
-    base = float(lower_bound_base(params))
-    if base <= 0:
-        raise ValueError("lower-bound base is nonpositive; no constant to extract")
-    return d_observed / base ** (N / 2)

@@ -52,7 +52,6 @@ class EmbeddingMatrix:
     tau: int
     l: int
     rows: np.ndarray
-    window: int
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def embed(series, m, tau, l=1):
         )
     s = (x.size - 1 - window) // l + 1
     idx = np.arange(s)[:, None] * l + np.arange(m)[None, :] * tau
-    return EmbeddingMatrix(m=m, tau=tau, l=l, rows=x[idx], window=window)
+    return EmbeddingMatrix(m=m, tau=tau, l=l, rows=x[idx])
 
 
 def svd_reduce(Y, threshold):

@@ -25,14 +25,11 @@ import pytest
 
 from b4.cli import parse_config, run_simulate
 from b4.functionals import (
-    bordered_minor_parts,
     brqp_matrix,
     coupling_constants,
     decay_monitor,
-    eval_Hn,
     feasible_triple,
     hn_fields,
-    minor_closed_forms,
     sequences_for_triple,
     shifted_sequences,
     sylvester_minors,
@@ -54,7 +51,7 @@ from b4.solver import (
     simulate,
     step,
 )
-from b4.spectral import extract_Kprime, lower_bound_base, mode_matrix, unstable_mode_count
+from b4.spectral import lower_bound_base, mode_matrix, unstable_mode_count
 from b4.tsa import (
     AnalysisConfig,
     albano_dimension,
@@ -63,6 +60,8 @@ from b4.tsa import (
     embed,
     largest_lyapunov,
 )
+from test_functionals import bordered_minor_parts, minor_closed_forms
+from test_spectral import extract_Kprime
 
 DT = 1.0 / 24.0
 
@@ -142,7 +141,7 @@ def test_energy_polynomial_identities():
         ones = (np.ones(n + 1), np.ones(n + 1), np.ones(n + 1))
         for _ in range(10):
             u, v, w, z = rng.uniform(0.1, 2.0, 4)
-            got = eval_Hn(Point4(u, v, w, z), ones, n)
+            got = hn_at((u, v, w, z), ones, n)
             want = (u + v + w + z) ** n
             assert abs(got - want) <= 1e-10 * abs(want)
 
@@ -162,7 +161,7 @@ def test_energy_polynomial_identities():
             + 2 * th[1] * sg[2] * rh[2] * u * v
             + th[2] * sg[2] * rh[2] * u**2
         )
-        got = eval_Hn(Point4(u, v, w, z), (th, sg, rh), 2)
+        got = hn_at((u, v, w, z), (th, sg, rh), 2)
         assert abs(got - want) <= 1e-10 * abs(want)
 
     # first partial derivatives reduce the degree and shift the sequences

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -287,6 +288,39 @@ def test_resume_checks_the_kept_rows_before_it_integrates(tmp_path, monkeypatch)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize(
+    "changed, message",
+    [
+        (
+            "dt = 0.02",
+            r"dt = 0\.02 puts the checkpoint's step 250 at t = 5\.0, "
+            r"but the checkpoint is at t = 10\.0; resume with the dt and record_every",
+        ),
+        (
+            "record_every = 100",
+            r"probe\.csv row 4 is at t = 4\.0, not at t = 8\.0, .*; "
+            r"resume with the dt and record_every",
+        ),
+    ],
+    ids=["dt", "record_every"],
+)
+def test_resume_with_another_step_or_cadence_fails_before_it_integrates(
+    tmp_path, monkeypatch, capsys, changed, message
+):
+    out = tmp_path / "out"
+    run = "Lx = 0.2985\nbeta = 5.9\nic_amplitude = 0.1\nrecord_every = 50\ndt = 0.04\n"
+    run_simulate(parse_config(chain_text(out, 10, run)))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: pytest.fail("simulate ran"))
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text(chain_text(out, 12, f"{run}{changed}\nresume_from = {out / 'checkpoint.ck'}\n"))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def sine_file(path, n=2000, sample_dt=1.0, period=100.0):
     t = np.arange(n) * sample_dt
     x = np.sin(2.0 * np.pi * t / period)
@@ -404,6 +438,14 @@ def test_run_analyze_input_errors(tmp_path):
     with pytest.raises(ConfigError, match="single column"):
         run_analyze(multi, cfg)
 
+    backwards = tmp_path / "backwards.csv"
+    t = 0.5 * np.arange(1200)
+    t[600:] -= 100.0
+    rows = [f"{a!r},{math.sin(a)!r}" for a in t.tolist()]
+    backwards.write_text("t,u\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match="row 602: time column must be strictly increasing"):
+        run_analyze(backwards, cfg)
+
     for row in ("1,nan", "1,inf", "1,-inf", "nan,1.0"):
         non_finite = tmp_path / "non_finite.csv"
         non_finite.write_text(f"t,u\n0,1.0\n{row}\n2,2.0\n")
@@ -416,14 +458,7 @@ def test_run_bounds_matches_library_call(tmp_path):
     run_bounds(cfg)
     header, body = read_csv(tmp_path / "bounds.csv")
     assert header == ["base", "lower", "trace_count", "full_count", "upper"]
-    report = dimension_bounds(
-        SystemParams(),
-        2,
-        omega_volume=500.0 * 500.0,
-        Lx=500.0,
-        Ly=500.0,
-        max_modes=150,
-    )
+    report = dimension_bounds(SystemParams(), 2, 500.0, 500.0, max_modes=150)
     row = body[0]
     assert float(row[0]) == float(report.lower_bound_base)
     assert float(row[1]) == float(report.lower)

@@ -5,24 +5,74 @@ import pytest
 
 from b4.functionals import (
     CoefficientSequences,
-    bordered_minor_parts,
+    MinorSet,
+    _condition_terms,
     brqp_matrix,
     build_sequences,
     check_conditions,
     coupling_constants,
     decay_monitor,
     default_sequence_generators,
-    eval_Hn,
-    eval_Kp,
     eval_Ln,
     feasible_triple,
     hn_fields,
-    minor_closed_forms,
     sequences_for_triple,
     shifted_sequences,
     sylvester_minors,
 )
-from b4.model import GridState, Point4
+from b4.model import GridState
+
+
+def minor_closed_forms(r, q, p, seqs, a, b, c, d):
+    """Closed-form values of the four leading minors of brqp_matrix.
+
+    Independent of the determinant expansion in sylvester_minors; used
+    to cross-check it.  Requires the sequences to carry generators
+    (CoefficientSequences), since the forms involve theta2/sigma2/rho2.
+    """
+    A = coupling_constants(a, b, c, d)
+    lam, vee, gam = _condition_terms(A, seqs.theta2, seqs.sigma2, seqs.rho2)
+    th, sg, rh = seqs.theta, seqs.sigma, seqs.rho
+    t = seqs.theta2 - A.A12**2
+    d1 = a * rh[p + 2] * sg[q + 2] * th[r + 2]
+    d2 = a * b * rh[p + 2] ** 2 * sg[q + 2] ** 2 * th[r + 1] ** 2 * t
+    d3 = (
+        a * b * c
+        * rh[p + 2] ** 3
+        * sg[q + 2]
+        * sg[q + 1] ** 2
+        * th[r + 1] ** 2
+        * th[r]
+        * lam
+    )
+    d4 = (
+        a * b * c * d
+        * rh[p + 2] ** 2
+        * rh[p + 1] ** 2
+        * sg[q + 1] ** 4
+        * th[r + 1] ** 2
+        * th[r] ** 2
+        * (lam * vee - gam**2)
+        / t
+    )
+    return MinorSet(d1=d1, d2=d2, d3=d3, d4=d4)
+
+
+def bordered_minor_parts(M):
+    """The (P, Q, R) combination whose PQ - R^2 equals a scaled det.
+
+    For a symmetric 4x4 matrix with entries m_ij,
+      m11^2 * (m11*m22 - m12^2) * det M == P*Q - R^2
+    with P, Q, R the three bordered 2x2-style combinations below.
+    """
+    m = np.asarray(M, float)
+    d12 = m[0, 0] * m[1, 1] - m[0, 1] ** 2
+    b13 = m[0, 0] * m[1, 2] - m[0, 1] * m[0, 2]
+    b14 = m[0, 0] * m[1, 3] - m[0, 1] * m[0, 3]
+    P = d12 * (m[0, 0] * m[2, 2] - m[0, 2] ** 2) - b13**2
+    Q = d12 * (m[0, 0] * m[3, 3] - m[0, 3] ** 2) - b14**2
+    R = d12 * (m[0, 0] * m[2, 3] - m[0, 2] * m[0, 3]) - b13 * b14
+    return P, Q, R
 
 
 def test_coupling_constants_basics():
@@ -170,7 +220,7 @@ def test_eval_hn_all_ones_is_multinomial_power():
         seqs = (np.ones(n + 1), np.ones(n + 1), np.ones(n + 1))
         for _ in range(10):
             u, v, w, z = rng.uniform(0.1, 2.0, 4)
-            got = eval_Hn(Point4(u, v, w, z), seqs, n)
+            got = hn_at((u, v, w, z), seqs, n)
             want = (u + v + w + z) ** n
             assert abs(got - want) <= 1e-10 * abs(want)
 
@@ -194,7 +244,7 @@ def test_eval_hn_degree_two_expansion():
             + 2 * th[1] * sg[2] * rh[2] * u * v
             + th[2] * sg[2] * rh[2] * u**2
         )
-        got = eval_Hn(Point4(u, v, w, z), (th, sg, rh), 2)
+        got = hn_at((u, v, w, z), (th, sg, rh), 2)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -295,24 +345,10 @@ def test_eval_ln_two_cell_hand_quadrature():
     rng = np.random.default_rng(14)
     seqs = random_arrays_seqs(rng, 2)
     want = (
-        eval_Hn(Point4(1.0, 0.5, 2.0, 1.5), seqs, 2)
-        + eval_Hn(Point4(2.0, 1.0, 0.25, 3.0), seqs, 2)
+        hn_at((1.0, 0.5, 2.0, 1.5), seqs, 2)
+        + hn_at((2.0, 1.0, 0.25, 3.0), seqs, 2)
     ) * 1.0
     assert eval_Ln(st, seqs, 2) == pytest.approx(want, rel=1e-12)
-
-
-def test_eval_kp_examples():
-    assert 0.126 / 0.125 == pytest.approx(1.008, rel=1e-12)
-    nx, ny, dx, dy = 5, 4, 0.5, 0.5
-    area = nx * ny * dx * dy
-    ones = np.ones((nx, ny))
-    zeros = np.zeros((nx, ny))
-    st = GridState(nx, ny, dx, dy, ones, ones, ones, zeros)
-    assert eval_Kp(st, 2, 0.126, 0.125) == pytest.approx(area, rel=1e-12)
-    st2 = GridState(nx, ny, dx, dy, ones, ones, ones, ones)
-    assert eval_Kp(st2, 2, 0.126, 0.125) == pytest.approx(2.008 * area, rel=1e-12)
-    with pytest.raises(ValueError):
-        eval_Kp(st, 1, 0.126, 0.125)
 
 
 def test_decay_monitor():
@@ -337,5 +373,6 @@ def test_sequences_for_triple_returns_generators():
     assert isinstance(seqs, CoefficientSequences)
     assert seqs.n == 6
     assert (seqs.theta2, seqs.sigma2, seqs.rho2) == triple
-    assert seqs.theta[0] == pytest.approx(seqs.theta0)
-    assert seqs.theta[1] / seqs.theta[0] == pytest.approx(seqs.C_theta)
+    theta0, C_theta = default_sequence_generators(triple[0], 6)
+    assert seqs.theta[0] == pytest.approx(theta0)
+    assert seqs.theta[1] / seqs.theta[0] == pytest.approx(C_theta)

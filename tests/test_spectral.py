@@ -8,7 +8,6 @@ from b4.model import SystemParams
 from b4.spectral import (
     BoundReport,
     dimension_bounds,
-    extract_Kprime,
     lower_bound_base,
     mode_matrix,
     neumann_eigenvalues,
@@ -16,6 +15,17 @@ from b4.spectral import (
 )
 
 NINE_PARAMS = SystemParams(beta=5.9, a=1e-6, b=2e-6, c=3e-6, d=4e-6)
+
+
+def extract_Kprime(d_observed, params, N):
+    """Constant making the lower-bound formula reproduce d_observed."""
+    if N not in (1, 2, 3):
+        raise ValueError("N must be 1, 2 or 3")
+    base = float(lower_bound_base(params))
+    if base <= 0:
+        raise ValueError("lower-bound base is nonpositive; no constant to extract")
+    return d_observed / base ** (N / 2)
+
 
 FRACTION_NINE = SystemParams(
     alpha=Fraction(2),
@@ -174,25 +184,27 @@ def test_lower_bound_base_exact_rational():
 
 
 def test_dimension_bounds_report():
-    report = dimension_bounds(FRACTION_NINE, N=2, K_prime=Fraction(91, 100))
+    report = dimension_bounds(FRACTION_NINE, N=2, Lx=1, K_prime=Fraction(91, 100))
     assert isinstance(report, BoundReport)
     assert report.lower_bound_base == 152390
     assert report.lower == Fraction(91 * 152390, 100)
     assert report.trace_unstable_count is None
 
     flat = SystemParams(alpha=2, beta=5, D1=0, D2=0, D3=0, D4=0)
-    assert dimension_bounds(flat, N=2).lower == 0
+    assert dimension_bounds(flat, N=2, Lx=1).lower == 0
 
-    damped = dimension_bounds(SystemParams(beta=1.0), N=2, K_prime=3.0)
+    damped = dimension_bounds(SystemParams(beta=1.0), N=2, Lx=1, K_prime=3.0)
     assert damped.lower == 0
 
-    up = dimension_bounds(SystemParams(), N=1, C_upper=4.0, K1=1.0, omega_volume=2.0)
+    up = dimension_bounds(SystemParams(), N=1, Lx=2.0, C_upper=4.0, K1=1.0)
     assert up.upper == pytest.approx(4.0**1.5 * 2.0 + 1.0, rel=1e-12)
+    sheet = dimension_bounds(SystemParams(), N=2, Lx=2.0, Ly=3.0, C_upper=4.0, K1=1.0)
+    assert sheet.upper == pytest.approx(4.0**1.5 * 6.0 + 1.0, rel=1e-12)
 
     with pytest.raises(ValueError):
-        dimension_bounds(SystemParams(), N=4)
+        dimension_bounds(SystemParams(), N=4, Lx=1)
     with pytest.raises(ValueError):
-        dimension_bounds(SystemParams(), N=2, K1=0.0)
+        dimension_bounds(SystemParams(), N=2, Lx=1, K1=0.0)
 
 
 def test_dimension_bounds_with_mode_counts():

@@ -73,7 +73,7 @@ def test_select_delay_edges():
 def test_embed_examples():
     e = embed(np.array([1.0, 2, 3, 4, 5, 6]), 3, 1, 1)
     assert isinstance(e, EmbeddingMatrix)
-    assert e.window == 2
+    assert (e.m, e.tau, e.l) == (3, 1, 1)
     assert np.array_equal(e.rows, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]])
 
     raw = embed(np.arange(5.0), 1, 1, 1)
