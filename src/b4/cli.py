@@ -285,6 +285,18 @@ def _snapshot_name(t):
     return f"snapshot_{t:g}.csv"
 
 
+def _snapshot_time(name):
+    """The time a ``_snapshot_name`` rounds to, or None for another name."""
+    if name.startswith("snapshot_") and name.endswith(".csv"):
+        try:
+            t = float(name[len("snapshot_") : -len(".csv")])
+        except ValueError:
+            return None
+        if _snapshot_name(t) == name:
+            return t
+    return None
+
+
 def _check_snapshot_names(run, start_step, every):
     """Raise ConfigError if two snapshot steps would share a file name.
 
@@ -320,7 +332,9 @@ def run_simulate(config):
     state.  With resume_from pointing at a checkpoint, probe.csv and
     norms.csv keep their rows up to the checkpoint step and get the new
     rows after them, so the files are byte-identical to those of an
-    uninterrupted run, also when the same resume runs again.  A resume
+    uninterrupted run, also when the same resume runs again.  Snapshot
+    files whose time, as their names round it, is past the run's last
+    step are removed before it integrates.  A resume
     whose dt or record_every differs from the run that wrote the files
     raises ConfigError before it integrates.  Returns the written paths.
     """
@@ -377,6 +391,13 @@ def run_simulate(config):
             for path in (probe_path, norms_path)
         )
         out.mkdir(parents=True, exist_ok=True)
+        # Snapshots past the last step are left from a longer run that this
+        # one replaces; every other file stays.
+        end = _snapshot_time(_snapshot_name(run.total_steps * dt))
+        for path in out.glob("snapshot_*.csv"):
+            t = _snapshot_time(path.name)
+            if t is not None and t > end:
+                path.unlink()
         result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
     except ValueError as exc:
         # A bad checkpoint, and the solver's stability, probe and step-count

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -125,53 +126,81 @@ def validate_params(params):
     return bad
 
 
-def _pair_rates(x, y, x_partner, y_partner, p, ex, ey, feed, drain, work):
-    """Rates of one pair (x, y) coupled to its partner pair, in place.
+def rate_constants(params, axes=1):
+    """The constants of the rates in the form ufuncs take fastest.
 
-    feed = alpha - (beta + 1) x + x^2 y + ex (x_partner - x) and
-    drain = beta x - x^2 y + ey (y_partner - y), each evaluated left to
-    right; ``work`` is scratch of the same shape.  Outputs are passed
-    positionally and rotate through the three arrays so that few
-    operations write over an input: either costs extra per call, the
-    second one sharply for one-node arrays.
+    alpha, beta and beta + 1 become 0-d arrays, and the exchange rates
+    the column (D1, D3, D2, D4) over ``axes`` trailing unit axes: the
+    coupling rate of each block of a stacked pass, in role order.
     """
-    np.multiply(x, x, work)
-    np.multiply(work, y, drain)  # x^2 y
-    np.multiply(x, p.beta + 1.0, work)
-    np.subtract(p.alpha, work, feed)
-    np.add(feed, drain, work)
-    np.subtract(x_partner, x, feed)
-    np.multiply(feed, ex, feed)
-    np.add(work, feed, feed)
-    np.multiply(x, p.beta, work)
-    np.subtract(work, drain, work)
-    np.subtract(y_partner, y, drain)
-    np.multiply(drain, ey, drain)
-    np.add(work, drain, drain)
+    return SimpleNamespace(
+        alpha=np.array(params.alpha),
+        beta=np.array(params.beta),
+        beta_1=np.array(params.beta + 1.0),
+        coupling=np.reshape((params.D1, params.D3, params.D2, params.D4), (4,) + (1,) * axes),
+    )
 
 
-def reaction_fields(u, v, w, z, params, out=None):
-    """Elementwise reaction rates (f, g, h, k) of u, v, w, z.
+def reaction_buffers(activators, inhibitors, rates, work):
+    """The operands of a ``reaction_fields`` pass over these stacks.
 
-    The fields are scalars or arrays that broadcast together.  ``out``,
-    if given, is five arrays of their shape (or one array with five
-    rows): the rates go into the first four, the fifth is scratch, and
-    nothing is allocated.  Without it the rates come back as new
-    values.  The pair (w, z) follows the formula of (u, v) with the
-    pairs' roles swapped and D3, D4 in place of D1, D2, so the formula
-    is written once, in ``_pair_rates``.
+    ``rates`` and ``work`` are (4, ...) arrays of the stacks' element
+    shape: the rates go into ``rates`` in role order (f, h, g, k), and
+    ``work`` is scratch.  The result is every view the pass reads or
+    writes besides the stacks, so a pass that gets it slices nothing.
+    The partner differences are taken one block at a time, as
+    (partner, own, difference) views: a reversed stack would cost each
+    ufunc call an iterator, which on small grids costs more than the
+    two extra calls.
     """
-    p = params
+    x_diff, y_diff = work[:2], work[2:]
+    partners = tuple(
+        (stack[1 - i : 2 - i], stack[i : i + 1], diff[i : i + 1])
+        for stack, diff in ((activators, x_diff), (inhibitors, y_diff))
+        for i in (0, 1)
+    )
+    return partners, rates, rates[:2], rates[2:], work, x_diff
+
+
+def reaction_fields(activators, inhibitors, params, out=None):
+    """Elementwise reaction rates of both pairs in one pass: ((f, h), (g, k)).
+
+    ``activators`` stacks (u, w) and ``inhibitors`` stacks (v, z), each
+    as two scalars or two arrays of one shape.  The pair (w, z) follows
+    the formula of (u, v) with the pairs' roles swapped and D3, D4 in
+    place of D1, D2, so one pass over the stacks x and y, against the
+    stacks reversed, gives all four rates:
+
+        (f, h) = alpha - (beta + 1) x + x^2 y + (D1, D3) (x[::-1] - x)
+        (g, k) = beta x - x^2 y + (D2, D4) (y[::-1] - y)
+
+    each evaluated left to right, in 13 ufunc calls.  Without ``out``
+    the rates come back as new arrays.  With it, ``params`` is the
+    caller's ``rate_constants`` and ``out`` its ``reaction_buffers`` for
+    these stacks, both built once, and the call allocates nothing.
+    Outputs are passed positionally, which is cheaper per call.
+    """
+    x, y, p = activators, inhibitors, params
     if out is None:
-        shape = np.broadcast(u, v, w, z).shape
-        f, g, h, k, work = (np.empty(shape) for _ in range(5))
-    else:
-        f, g, h, k, work = out
-    _pair_rates(u, v, w, z, p, p.D1, p.D2, f, g, work)
-    _pair_rates(w, z, u, v, p, p.D3, p.D4, h, k, work)
-    if out is None:
-        return f[()], g[()], h[()], k[()]
-    return f, g, h, k
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(x.shape, y.shape)[1:]
+        out = reaction_buffers(x, y, np.empty((4, *shape)), np.empty((4, *shape)))
+        p = rate_constants(params, len(shape))
+    partners, rates, feed, drain, work, x_diff = out
+    # The local terms build up in the rates themselves and the scratch
+    # holds beta x, then the differences: few arrays in cache on large grids.
+    np.multiply(x, x, feed)
+    np.multiply(feed, y, drain)  # x^2 y
+    np.multiply(x, p.beta_1, feed)
+    np.subtract(p.alpha, feed, feed)
+    np.add(feed, drain, feed)
+    np.multiply(x, p.beta, x_diff)
+    np.subtract(x_diff, drain, drain)
+    for partner, own, diff in partners:
+        np.subtract(partner, own, diff)
+    np.multiply(work, p.coupling, work)
+    np.add(rates, work, rates)
+    return feed, drain
 
 
 def stationary_solution(params):

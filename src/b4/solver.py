@@ -6,13 +6,17 @@ state.  No-flux boundaries use ghost-node reflection (the ghost value
 mirrors the first interior node), zero boundaries use zero ghosts.
 
 The four fields live in one contiguous buffer, one ghost-padded grid
-after the other (``_Stencil``), and a step allocates nothing: each
-elementwise pass runs once over the flat span of all four, or once
-per field for the reaction.  The padding inside the span, corners
-included, is reset after every update, so the blow-up check sees only
-interior values, their mirrors and zeros.  Every operation keeps its
-operand order (the Laplacian sums onto zero, x before y), so values
-are those of differencing each field on its own, bit for bit.
+after the other (``_Stencil``), in role order (u, w, v, z): the
+activators u, w in one block, the inhibitors v, z in the next.  So one
+``reaction_fields`` pass covers both Brusselator pairs, and a step is a
+fixed run of ufunc calls on views built once per run: it slices and
+allocates nothing.  Each elementwise pass runs once over the flat span
+of all four fields.  The padding inside the span, corners included, is
+reset after every update, so the blow-up check sees only interior
+values, their mirrors and zeros.  Every operation keeps its operand
+order (the Laplacian sums onto zero, x before y), so values are those
+of differencing each field on its own, bit for bit.  Everything outside
+``_Stencil`` sees the fields in (u, v, w, z) order.
 """
 
 import contextlib
@@ -20,7 +24,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,6 +34,8 @@ from .model import (
     Point4,
     SystemParams,
     check_geometry,
+    rate_constants,
+    reaction_buffers,
     reaction_fields,
     validate_params,
 )
@@ -43,6 +48,12 @@ _CHECKPOINT_HEADER = struct.Struct("<4sI10d2q2dBqd")
 _BC_CODES = {BC_NEUMANN: 0, BC_DIRICHLET0: 1}
 _BC_NAMES = {code: tag for tag, code in _BC_CODES.items()}
 _PARAM_ORDER = ("alpha", "beta", "D1", "D2", "D3", "D4", "a", "b", "c", "d")
+
+
+def _swap_roles(values):
+    """Four values in the stencil's role order (u, w, v, z) as field order
+    (u, v, w, z): the swap of the middle two is its own inverse."""
+    return values[0], values[2], values[1], values[3]
 
 
 class BlowUpError(RuntimeError):
@@ -101,53 +112,57 @@ def _check_extent(n):
 
 
 class _Stencil:
-    """A (k, nx, ny) stack of fields in one flat ghost-padded buffer.
+    """The four fields of a (4, nx, ny) stack in one flat ghost-padded buffer.
 
-    Each field owns P = (nx + 2 gx)(ny + 2 gy) consecutive entries of
-    ``buffer``: a row-major grid with one ghost layer on each side of
-    every direction of extent above one (gx, gy are 0 or 1).
-    ``fields`` is the interior view.  ``span`` runs from the first
-    interior node of the first field to the last of the last field, so
-    a neighbour is the entry ±1 or ±(ny + 2 gy) away and one call
-    covers all fields.  A pass over the span also writes the padding
-    cells inside it; ``refresh`` restores them, so that every padding
-    cell holds zero or a copy of an interior value.
+    The stack is in field order (u, v, w, z); the buffer holds it in
+    role order (u, w, v, z).  Each field owns a block of P = (nx +
+    2 gx)(ny + 2 gy) consecutive entries: a row-major grid with one
+    ghost layer on each side of every direction of extent above one
+    (gx, gy are 0 or 1).  ``fields`` is the interior view, in role
+    order.  ``span`` runs from the first interior node of the first
+    block to the last of the last block, so a neighbour is the entry ±1
+    or ±(ny + 2 gy) away and one call covers all fields.  A pass over
+    the span also writes the padding cells inside it; ``refresh``
+    restores them, so that every padding cell holds zero or a copy of
+    an interior value.
 
     ``laplacian`` sums each direction's scaled second difference onto
     zero, x before y, in the operation order of padding each field and
     differencing it axis by axis, so the result is that one bit for bit
-    (signed zeros included).  The Laplacian and its two scratch arrays
-    are allocated here, once; the step kernel and ``record`` reuse the
-    scratch.  Ufuncs get their outputs positionally and constants as
-    0-d arrays: either is cheaper per call than the alternative.
+    (signed zeros included).  The reaction runs over whole blocks:
+    ``activators`` is the first two, ``inhibitors`` the last two, each
+    one contiguous stack, and ``reaction`` holds the views of the rates
+    and scratch that ``reaction_fields`` takes.  The Laplacian and its
+    two scratch arrays are allocated here, once; the step kernel and
+    ``record`` reuse the scratch.  Ufuncs get their outputs positionally
+    and constants as 0-d arrays: either is cheaper per call than the
+    alternative.
     """
 
     def __init__(self, data, dx, dy, bc):
-        k, nx, ny = data.shape
+        _, nx, ny = data.shape
         _check_extent(nx)
         _check_extent(ny)
         gx, gy = int(nx > 1), int(ny > 1)
         row = ny + 2 * gy
         size = (nx + 2 * gx) * row
         start = gx * row + gy
-        span = slice(start, k * size - start)
-        self.buffer = np.zeros(k * size)
-        grid = self.buffer.reshape(k, nx + 2 * gx, row)
+        span = slice(start, 4 * size - start)
+        self.buffer = np.zeros(4 * size)
+        grid = self.buffer.reshape(4, nx + 2 * gx, row)
         self.fields = grid[:, gx : gx + nx, gy : gy + ny]
-        self.fields[...] = data
+        self.fields[...] = _swap_roles(data)
         self.span = self.buffer[span]
-        lap, twice, pair = (np.zeros(k * size) for _ in range(3))
-        self.lap = lap[span]
+        lap, twice, pair = (np.zeros((4, size)) for _ in range(3))
+        self.lap = lap.reshape(-1)[span]
+        self.lap_blocks = lap
         self.lap_fields = lap.reshape(grid.shape)[:, gx : gx + nx, gy : gy + ny]
-        self.lap_rows = lap.reshape(k, size)[:, start : size - start]
         # The first scratch array holds twice the fields in ``laplacian``
-        # and the reaction rates after it, in each field's run: its
-        # interior rows as one contiguous run (with the y ghosts between
-        # them).  A run of the second is the reaction's own scratch.
-        self.rates, self._pair = twice[span], pair[span]
-        runs = [slice(i * size + start, (i + 1) * size - start) for i in range(k)]
-        self.runs = tuple(self.buffer[r] for r in runs)
-        self.rate_runs = tuple(twice[r] for r in runs) + (pair[runs[0]],)
+        # and the reaction rates after it; the second is the scratch of both.
+        self.rates, self._pair = twice.reshape(-1)[span], pair.reshape(-1)[span]
+        blocks = self.buffer.reshape(4, size)
+        self.activators, self.inhibitors = blocks[:2], blocks[2:]
+        self.reaction = reaction_buffers(self.activators, self.inhibitors, twice, pair)
         self._axes = [
             (self.buffer[start + step : span.stop + step],
              self.buffer[start - step : span.stop - step],
@@ -199,19 +214,18 @@ class _Stencil:
         The squares and differences go into the scratch arrays, one
         contiguous row per field, and each row sums the way ``np.sum``
         sums that field alone, so every value is the per-field one bit
-        for bit.
+        for bit.  Each tuple is in field order.
         """
         fields = self.fields
-        k = len(fields)
         twice, pair = self.rates, self._pair
 
         def sum_of_squares(values, scratch):
             rows = scratch[: values.size].reshape(values.shape)
             np.multiply(values, values, rows)
-            return rows.reshape(k, -1).sum(axis=1)
+            return rows.reshape(4, -1).sum(axis=1)
 
         l2 = sum_of_squares(fields, twice)
-        grad = [0.0] * k
+        grad = [0.0] * 4
         for h, ahead, behind in (
             (dx, fields[:, 1:], fields[:, :-1]),
             (dy, fields[:, :, 1:], fields[:, :, :-1]),
@@ -224,11 +238,11 @@ class _Stencil:
         cell = dx * dy
         return ObservableRecord(
             t=t,
-            probe_values=Point4(*fields[:, ix, iy].tolist()),
-            l2_norms=tuple(math.sqrt(s * cell) for s in l2.tolist()),
-            grad_l2_norms=tuple(math.sqrt(g * dx * dy) for g in grad),
-            mins=tuple(fields.min(axis=(1, 2)).tolist()),
-            maxs=tuple(fields.max(axis=(1, 2)).tolist()),
+            probe_values=Point4(*_swap_roles(fields[:, ix, iy].tolist())),
+            l2_norms=_swap_roles([math.sqrt(s * cell) for s in l2.tolist()]),
+            grad_l2_norms=_swap_roles([math.sqrt(g * dx * dy) for g in grad]),
+            mins=_swap_roles(fields.min(axis=(1, 2)).tolist()),
+            maxs=_swap_roles(fields.max(axis=(1, 2)).tolist()),
         )
 
 
@@ -238,7 +252,8 @@ def laplacian(field, dx, dy, bc=BC_NEUMANN):
     if field.ndim != 2:
         raise ValueError("field must be 2-d (use extent 1 for a flat direction)")
     check_geometry(*field.shape, dx, dy, bc)
-    stencil = _Stencil(field[None], dx, dy, bc)
+    # The stencil holds four fields; here each of them is this one.
+    stencil = _Stencil(np.broadcast_to(field, (4, *field.shape)), dx, dy, bc)
     stencil.laplacian()
     return stencil.lap_fields[0].copy()
 
@@ -266,35 +281,36 @@ def stability_limit(params, state):
 
 
 def _constants(params):
-    """The parameters as 0-d arrays, which ufuncs take faster than floats,
-    plus the diffusivities a, b, c, d as a column: one per field."""
-    constants = {name: np.array(getattr(params, name)) for name in _PARAM_ORDER}
-    diffusivities = np.array([[params.a], [params.b], [params.c], [params.d]])
-    return SimpleNamespace(**constants, diffusivities=diffusivities)
+    """The ``rate_constants`` of params, plus the diffusivities as the
+    column (a, c, b, d): one per block, in role order."""
+    constants = rate_constants(params)
+    constants.diffusivities = np.array([[params.a], [params.c], [params.b], [params.d]])
+    return constants
 
 
 def _advance(stencil, params, dt, k):
     """Step k of forward Euler, in place on the stencil's buffer.
 
     ``params`` comes from ``_constants``.  All four fields update from
-    the same state: the Laplacian over the span, each field's rows
-    times its diffusivity, plus the reaction rates, which
-    ``reaction_fields`` writes into the first scratch array; that sum
-    times dt is added onto the span.  Nothing is allocated.
-    ``refresh`` then resets the padding, so one reduction over the
-    span sees only interior values, their copies and zeros: a NaN
-    anywhere, or a magnitude above BLOWUP_LIMIT, raises BlowUpError.
+    the same state: the Laplacian over the span, each block times its
+    diffusivity, plus the reaction rates of both pairs, which one
+    ``reaction_fields`` pass writes into the first scratch array; that
+    sum times dt is added onto the span.  Every operand is a view the
+    stencil built, so nothing is sliced or allocated.  ``refresh`` then
+    resets the padding, so one reduction over the span sees only
+    interior values, their copies and zeros: a NaN anywhere, or a
+    magnitude above BLOWUP_LIMIT, raises BlowUpError.
     """
     lap = stencil.laplacian()
-    np.multiply(stencil.lap_rows, params.diffusivities, stencil.lap_rows)
-    reaction_fields(*stencil.runs, params, out=stencil.rate_runs)
+    np.multiply(stencil.lap_blocks, params.diffusivities, stencil.lap_blocks)
+    reaction_fields(stencil.activators, stencil.inhibitors, params, stencil.reaction)
     np.add(lap, stencil.rates, lap)
     np.multiply(lap, dt, lap)
     np.add(stencil.span, lap, stencil.span)
     stencil.refresh()
     peak = float(np.maximum.reduce(np.abs(stencil.span, lap)))
     if not peak <= BLOWUP_LIMIT:
-        maxima = tuple(float(np.max(np.abs(f))) for f in stencil.fields)
+        maxima = _swap_roles([float(np.max(np.abs(f))) for f in stencil.fields])
         raise BlowUpError(
             f"blow-up at t={k * dt:g} (step {k}): max |field| = {peak:.3e}, "
             f"per-field maxima {maxima}",
@@ -305,15 +321,16 @@ def _advance(stencil, params, dt, k):
         )
 
 
-def _state_like(state, data):
-    return GridState(state.nx, state.ny, state.dx, state.dy, *data, bc=state.bc)
+def _state_like(state, stencil):
+    fields = _swap_roles(stencil.fields)
+    return GridState(state.nx, state.ny, state.dx, state.dy, *fields, bc=state.bc)
 
 
 def step(state, params, dt):
     """One explicit step; all four fields update from the same state."""
     stencil = _Stencil(state.data, state.dx, state.dy, state.bc)
     _advance(stencil, _constants(params), dt, 1)
-    return _state_like(state, stencil.fields)
+    return _state_like(state, stencil)
 
 
 def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=None):
@@ -347,7 +364,6 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
     dx, dy = state0.dx, state0.dy
     stencil = _Stencil(state0.data, dx, dy, state0.bc)
     constants = _constants(params)
-    fields = stencil.fields
     records = []
     for k in range(step_offset, total_steps + 1):
         if k > step_offset:
@@ -358,9 +374,9 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
         if k % cfg.record_every == 0:
             records.append(stencil.record(k * cfg.dt, ix, iy, dx, dy))
         if snapshot_every and k % snapshot_every == 0:
-            on_snapshot(_state_like(state0, fields), k)
+            on_snapshot(_state_like(state0, stencil), k)
 
-    return SimulationResult(records, _state_like(state0, fields))
+    return SimulationResult(records, _state_like(state0, stencil))
 
 
 def initial_condition(nx, ny, dx, dy, base, amplitude, seed, bc=BC_NEUMANN):

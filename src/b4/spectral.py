@@ -203,9 +203,13 @@ def dimension_bounds(params, N, Lx, Ly=None, K_prime=1, K1=1, C_upper=1, max_mod
     The upper-bound constants are user inputs (default 1): the formula
     is exposed as an evaluator, not a claimed number.  When max_modes
     is given the unstable-mode counts of that domain are filled in too.
+    Lx and Ly, when given, must be positive and finite.
     """
     if N not in (1, 2, 3):
         raise ValueError("N must be 1, 2 or 3")
+    for length in (Lx, Ly):
+        if length is not None and not (math.isfinite(length) and length > 0):
+            raise ValueError("domain lengths must be positive and finite")
     if K1 <= 0:
         raise ValueError("K1 must be positive")
     base = lower_bound_base(params)

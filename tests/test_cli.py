@@ -273,6 +273,31 @@ def test_retried_resume_matches_uninterrupted(tmp_path):
     assert len((tmp_path / "split" / "probe.csv").read_text().splitlines()) == 22
 
 
+def test_resume_to_an_earlier_end_removes_the_later_snapshots(tmp_path):
+    snapshots = "snapshot_every = 120\n"
+    run_simulate(parse_config(chain_text(tmp_path / "full", 15, snapshots)))
+    run_simulate(parse_config(chain_text(tmp_path / "split", 10, snapshots)))
+    ck = tmp_path / "ten.ck"
+    shutil.copy(tmp_path / "split" / "checkpoint.ck", ck)
+    resume = f"{snapshots}resume_from = {ck}\n"
+    run_simulate(parse_config(chain_text(tmp_path / "split", 20, resume)))
+    # Names a run never writes stay, whatever time they seem to hold.
+    others = {"snapshot_020.csv": "a", "snapshot_20.csv.bak": "b", "snapshot_x.csv": "c"}
+    for name, text in others.items():
+        (tmp_path / "split" / name).write_text(text)
+    run_simulate(parse_config(chain_text(tmp_path / "split", 15, resume)))
+
+    for name, text in others.items():
+        assert (tmp_path / "split" / name).read_text() == text
+    names = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert names == sorted(set(p.name for p in (tmp_path / "split").iterdir()) - set(others))
+    assert "snapshot_15.csv" in names and "snapshot_20.csv" not in names
+    for name in names:
+        assert (tmp_path / "full" / name).read_bytes() == (
+            tmp_path / "split" / name
+        ).read_bytes()
+
+
 def test_resume_checks_the_kept_rows_before_it_integrates(tmp_path, monkeypatch):
     out = tmp_path / "out"
     run_simulate(parse_config(chain_text(out, 10, "snapshot_every = 120\n")))

@@ -26,6 +26,7 @@ from b4.model import (
     GridState,
     Point4,
     SystemParams,
+    reaction_fields,
     stationary_solution,
 )
 from b4.solver import (
@@ -138,6 +139,11 @@ def reference_record(t, ix, iy, fields, dx, dy):
     )
 
 
+def in_field_order(stencil):
+    """The stencil's fields, which it keeps in role order (u, w, v, z), as (u, v, w, z)."""
+    return stencil.fields[[0, 2, 1, 3]]
+
+
 def padded(fields, bc):
     """The fields as np.pad lays them out: the padding the kernel must keep."""
     _, nx, ny = fields.shape
@@ -199,7 +205,7 @@ def test_kernel_is_bit_equal_to_the_per_field_stencil(run):
             want = blow_up_message(reference_advance, old, params, dt, k)
             got = blow_up_message(_advance, new, constants, dt, k)
             assert got == want
-            assert new.fields.tobytes() == old.fields.tobytes()
+            assert in_field_order(new).tobytes() == old.fields.tobytes()
             assert new.buffer.tobytes() == padded(new.fields, bc).tobytes()
             if want is not None:
                 break
@@ -223,7 +229,24 @@ def test_the_blow_up_check_sees_only_the_interior_peak(run):
             want = blow_up_message(reference_advance, old, params, dt, k)
             got = blow_up_message(_advance, new, constants, dt, k)
             assert got == want
-            assert new.fields.tobytes() == old.fields.tobytes()
+            assert in_field_order(new).tobytes() == old.fields.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=params_strategy,
+    shape=st.sampled_from([None, (), (1,), (7,), (3, 4)]),
+    scale=st.sampled_from([1.0, 1e3, 1e6]),
+    data=st.data(),
+)
+def test_stacked_reaction_is_bit_equal_to_the_per_field_formula(params, shape, scale, data):
+    # shape None draws Python floats; the others arrays of that shape.
+    fields = data.draw(arrays(np.float64, (4, *(shape or ())), elements=values)) * scale
+    u, v, w, z = fields.tolist() if shape is None else fields
+    want = reference_reaction(u, v, w, z, params)
+    (f, h), (g, k) = reaction_fields((u, w), (v, z), params)
+    assert np.shape(f) == np.shape(u)
+    assert np.array([f, g, h, k]).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("nx, ny", [(12, 9), (64, 1), (1, 1)])
@@ -264,5 +287,5 @@ def test_stacked_record_is_bit_equal_on_large_grids(nx, ny):
     for bc, scale in ((BC_NEUMANN, 1e-3), (BC_DIRICHLET0, 1e3)):
         stencil = _Stencil(rng.uniform(-1.0, 3.0, (4, nx, ny)) * scale, 0.37, 1.3, bc)
         got = stencil.record(0.5, nx // 3, ny // 2, 0.37, 1.3)
-        want = reference_record(0.5, nx // 3, ny // 2, stencil.fields, 0.37, 1.3)
+        want = reference_record(0.5, nx // 3, ny // 2, in_field_order(stencil), 0.37, 1.3)
         assert repr(astuple(got)) == repr(astuple(want))

@@ -33,8 +33,9 @@ def test_stationary_point_is_a_zero_of_the_reaction():
     rng = np.random.default_rng(11)
     for _ in range(50):
         p = random_params(rng)
-        r = reaction_fields(*stationary_solution(p).as_tuple(), p)
-        assert max(abs(x) for x in r) <= 1e-14
+        u, v, w, z = stationary_solution(p).as_tuple()
+        (f, h), (g, k) = reaction_fields((u, w), (v, z), p)
+        assert max(abs(x) for x in (f, g, h, k)) <= 1e-14
 
 
 def test_stationary_solution_values():
@@ -57,15 +58,16 @@ def test_stationary_solution_values():
 
 def test_reaction_at_origin_reduces_to_feed_rate():
     p = SystemParams(alpha=2.0)
-    assert reaction_fields(*Point4(0, 0, 0, 0).as_tuple(), p) == (2.0, 0.0, 2.0, 0.0)
+    (f, h), (g, k) = reaction_fields((0.0, 0.0), (0.0, 0.0), p)
+    assert (f, g, h, k) == (2.0, 0.0, 2.0, 0.0)
 
 
 def test_reaction_hand_computed_at_unit_state():
     # alpha=2, beta=5.5, all four fields equal one: the cross terms
     # D_i*(other - own) vanish, leaving f = 2 - 6.5 + 1 and g = 5.5 - 1.
     p = SystemParams()
-    r = reaction_fields(*Point4(1, 1, 1, 1).as_tuple(), p)
-    assert r == pytest.approx((-3.5, 4.5, -3.5, 4.5), abs=1e-15)
+    (f, h), (g, k) = reaction_fields((1.0, 1.0), (1.0, 1.0), p)
+    assert (f, g, h, k) == pytest.approx((-3.5, 4.5, -3.5, 4.5), abs=1e-15)
 
 
 def test_pair_sums_cancel_cubic_terms():
@@ -74,7 +76,7 @@ def test_pair_sums_cancel_cubic_terms():
     for _ in range(200):
         p = random_params(rng)
         u, v, w, z = rng.uniform(-3, 3, 4)
-        f, g, h, k = reaction_fields(u, v, w, z, p)
+        (f, h), (g, k) = reaction_fields((u, w), (v, z), p)
         fg = p.alpha - u + p.D1 * (w - u) + p.D2 * (z - v)
         hk = p.alpha - w + p.D3 * (u - w) + p.D4 * (v - z)
         assert f + g == pytest.approx(fg, abs=1e-11)
@@ -88,10 +90,10 @@ def test_rates_nonnegative_on_boundary_faces():
     for _ in range(300):
         p = random_params(rng)
         s, t, q = rng.uniform(0, 5, 3)
-        f, _, _, _ = reaction_fields(0.0, s, t, q, p)
-        _, g, _, _ = reaction_fields(s, 0.0, t, q, p)
-        _, _, h, _ = reaction_fields(s, t, 0.0, q, p)
-        _, _, _, k = reaction_fields(s, t, q, 0.0, p)
+        (f, _), _ = reaction_fields((0.0, t), (s, q), p)
+        _, (g, _) = reaction_fields((s, t), (0.0, q), p)
+        (_, h), _ = reaction_fields((s, 0.0), (t, q), p)
+        _, (_, k) = reaction_fields((s, q), (t, 0.0), p)
         assert f >= 0 and g >= 0 and h >= 0 and k >= 0
 
 

@@ -207,6 +207,14 @@ def test_dimension_bounds_report():
         dimension_bounds(SystemParams(), N=2, Lx=1, K1=0.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("max_modes", [None, 50])
+def test_dimension_bounds_rejects_lengths_that_are_not_positive_and_finite(bad, max_modes):
+    for Lx, Ly in ((bad, 2.0), (2.0, bad), (bad, None)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dimension_bounds(SystemParams(), 2, Lx, Ly, max_modes=max_modes)
+
+
 def test_dimension_bounds_with_mode_counts():
     p = SystemParams(beta=5.9, a=0.1, b=0.1, c=0.1, d=0.1)
     report = dimension_bounds(p, N=2, Lx=math.pi, Ly=math.pi, max_modes=50)

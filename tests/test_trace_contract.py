@@ -37,3 +37,28 @@ def test_tracer_patches_its_names_and_restores_every_callable():
         tracer.restore()
     for module, saved in zip(MODULES, before):
         assert callables(module) == saved, module.__name__
+
+
+def test_reaction_calls_count_the_integrated_steps(tmp_path, capsys):
+    # perfbench reads model.reaction_fields.calls as the step count, so the
+    # solver must call it once per step it takes, fresh or resumed.
+    config = tmp_path / "chain.cfg"
+    out = tmp_path / "out"
+
+    def traced_simulate(t_end, extra=""):
+        config.write_text(
+            "nx = 20\nny = 1\nLx = 19\nLy = 1\nrecord_every = 24\n"
+            f"t_end = {t_end}\nout_dir = {out}\n{extra}"
+        )
+        tracer = layertrace.Tracer()
+        try:
+            tracer.install()
+            assert b4.cli.main(["simulate", "--config", str(config)]) == 0
+        finally:
+            tracer.restore()
+        calls, _ = tracer.summary()
+        return calls["model.reaction_fields"]
+
+    # dt is 1/24, so t = 10 is step 240.
+    assert traced_simulate(10) == 240
+    assert traced_simulate(15, f"resume_from = {out / 'checkpoint.ck'}\n") == 120
