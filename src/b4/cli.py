@@ -334,7 +334,7 @@ def run_simulate(config):
     rows after them, so the files are byte-identical to those of an
     uninterrupted run, also when the same resume runs again.  Snapshot
     files whose time, as their names round it, is past the run's last
-    step are removed before it integrates.  A resume
+    step are removed once it has integrated.  A resume
     whose dt or record_every differs from the run that wrote the files
     raises ConfigError before it integrates.  Returns the written paths.
     """
@@ -391,18 +391,20 @@ def run_simulate(config):
             for path in (probe_path, norms_path)
         )
         out.mkdir(parents=True, exist_ok=True)
-        # Snapshots past the last step are left from a longer run that this
-        # one replaces; every other file stays.
-        end = _snapshot_time(_snapshot_name(run.total_steps * dt))
-        for path in out.glob("snapshot_*.csv"):
-            t = _snapshot_time(path.name)
-            if t is not None and t > end:
-                path.unlink()
         result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
     except ValueError as exc:
         # A bad checkpoint, and the solver's stability, probe and step-count
         # checks, all point at the config.
         raise ConfigError(str(exc)) from None
+
+    # Snapshots past the last step are left from a longer run that this
+    # one replaces; a run writes none past its own end, and every other
+    # file stays.
+    end = _snapshot_time(_snapshot_name(run.total_steps * dt))
+    for path in out.glob("snapshot_*.csv"):
+        t = _snapshot_time(path.name)
+        if t is not None and t > end:
+            path.unlink()
 
     # Weight of the second oscillator pair in the paired-norm monitor.
     delta = params.D2 / params.D4

@@ -126,40 +126,35 @@ def validate_params(params):
     return bad
 
 
-def rate_constants(params, axes=1):
-    """The constants of the rates in the form ufuncs take fastest.
-
-    alpha, beta and beta + 1 become 0-d arrays, and the exchange rates
-    the column (D1, D3, D2, D4) over ``axes`` trailing unit axes: the
-    coupling rate of each block of a stacked pass, in role order.
-    """
-    return SimpleNamespace(
-        alpha=np.array(params.alpha),
-        beta=np.array(params.beta),
-        beta_1=np.array(params.beta + 1.0),
-        coupling=np.reshape((params.D1, params.D3, params.D2, params.D4), (4,) + (1,) * axes),
-    )
-
-
-def reaction_buffers(activators, inhibitors, rates, work):
-    """The operands of a ``reaction_fields`` pass over these stacks.
+def reaction_buffers(activators, inhibitors, rates, work, params):
+    """Everything a ``reaction_fields`` pass over these stacks reads or
+    writes besides the stacks, so a pass that gets it slices nothing.
 
     ``rates`` and ``work`` are (4, ...) arrays of the stacks' element
     shape: the rates go into ``rates`` in role order (f, h, g, k), and
-    ``work`` is scratch.  The result is every view the pass reads or
-    writes besides the stacks, so a pass that gets it slices nothing.
-    The partner differences are taken one block at a time, as
-    (partner, own, difference) views: a reversed stack would cost each
-    ufunc call an iterator, which on small grids costs more than the
-    two extra calls.
+    ``work`` is scratch.  The constants of ``params`` are held in the
+    form ufuncs take fastest: alpha, beta and beta + 1 as 0-d arrays,
+    and the exchange rates as the column (D1, D3, D2, D4), the coupling
+    rate of each block in role order.  The partner differences are taken
+    one block at a time, as (partner, own, difference) views: a reversed
+    stack would cost each ufunc call an iterator, which on small grids
+    costs more than the two extra calls.
     """
+    constants = SimpleNamespace(
+        alpha=np.array(params.alpha),
+        beta=np.array(params.beta),
+        beta_1=np.array(params.beta + 1.0),
+        coupling=np.reshape(
+            (params.D1, params.D3, params.D2, params.D4), (4,) + (1,) * (rates.ndim - 1)
+        ),
+    )
     x_diff, y_diff = work[:2], work[2:]
     partners = tuple(
         (stack[1 - i : 2 - i], stack[i : i + 1], diff[i : i + 1])
         for stack, diff in ((activators, x_diff), (inhibitors, y_diff))
         for i in (0, 1)
     )
-    return partners, rates, rates[:2], rates[2:], work, x_diff
+    return constants, partners, rates, rates[:2], rates[2:], work, x_diff
 
 
 def reaction_fields(activators, inhibitors, params, out=None):
@@ -175,18 +170,17 @@ def reaction_fields(activators, inhibitors, params, out=None):
         (g, k) = beta x - x^2 y + (D2, D4) (y[::-1] - y)
 
     each evaluated left to right, in 13 ufunc calls.  Without ``out``
-    the rates come back as new arrays.  With it, ``params`` is the
-    caller's ``rate_constants`` and ``out`` its ``reaction_buffers`` for
-    these stacks, both built once, and the call allocates nothing.
+    the rates come back as new arrays.  With it, ``out`` is the
+    ``reaction_buffers`` of these stacks and of ``params``, built once,
+    and the call reads the constants from it and allocates nothing.
     Outputs are passed positionally, which is cheaper per call.
     """
-    x, y, p = activators, inhibitors, params
+    x, y = activators, inhibitors
     if out is None:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(x.shape, y.shape)[1:]
-        out = reaction_buffers(x, y, np.empty((4, *shape)), np.empty((4, *shape)))
-        p = rate_constants(params, len(shape))
-    partners, rates, feed, drain, work, x_diff = out
+        out = reaction_buffers(x, y, np.empty((4, *shape)), np.empty((4, *shape)), params)
+    p, partners, rates, feed, drain, work, x_diff = out
     # The local terms build up in the rates themselves and the scratch
     # holds beta x, then the differences: few arrays in cache on large grids.
     np.multiply(x, x, feed)

@@ -34,7 +34,6 @@ from .model import (
     Point4,
     SystemParams,
     check_geometry,
-    rate_constants,
     reaction_buffers,
     reaction_fields,
     validate_params,
@@ -131,15 +130,17 @@ class _Stencil:
     differencing it axis by axis, so the result is that one bit for bit
     (signed zeros included).  The reaction runs over whole blocks:
     ``activators`` is the first two, ``inhibitors`` the last two, each
-    one contiguous stack, and ``reaction`` holds the views of the rates
-    and scratch that ``reaction_fields`` takes.  The Laplacian and its
-    two scratch arrays are allocated here, once; the step kernel and
-    ``record`` reuse the scratch.  Ufuncs get their outputs positionally
-    and constants as 0-d arrays: either is cheaper per call than the
-    alternative.
+    one contiguous stack.  Given ``params``, the stencil also holds what
+    ``_advance`` needs of them: ``reaction``, the ``reaction_buffers``
+    that a ``reaction_fields`` pass takes, and ``diffusivities``, the
+    column (a, c, b, d), one per block in role order.  The Laplacian
+    and its two scratch arrays are allocated here, once; the step kernel
+    and ``record`` reuse the scratch.  Ufuncs get their outputs
+    positionally and constants as 0-d arrays: either is cheaper per call
+    than the alternative.
     """
 
-    def __init__(self, data, dx, dy, bc):
+    def __init__(self, data, dx, dy, bc, params=None):
         _, nx, ny = data.shape
         _check_extent(nx)
         _check_extent(ny)
@@ -162,7 +163,10 @@ class _Stencil:
         self.rates, self._pair = twice.reshape(-1)[span], pair.reshape(-1)[span]
         blocks = self.buffer.reshape(4, size)
         self.activators, self.inhibitors = blocks[:2], blocks[2:]
-        self.reaction = reaction_buffers(self.activators, self.inhibitors, twice, pair)
+        self.params = params
+        if params is not None:
+            self.reaction = reaction_buffers(self.activators, self.inhibitors, twice, pair, params)
+            self.diffusivities = np.array([[params.a], [params.c], [params.b], [params.d]])
         self._axes = [
             (self.buffer[start + step : span.stop + step],
              self.buffer[start - step : span.stop - step],
@@ -280,30 +284,22 @@ def stability_limit(params, state):
     return min(diffusive, reaction)
 
 
-def _constants(params):
-    """The ``rate_constants`` of params, plus the diffusivities as the
-    column (a, c, b, d): one per block, in role order."""
-    constants = rate_constants(params)
-    constants.diffusivities = np.array([[params.a], [params.c], [params.b], [params.d]])
-    return constants
-
-
-def _advance(stencil, params, dt, k):
+def _advance(stencil, dt, k):
     """Step k of forward Euler, in place on the stencil's buffer.
 
-    ``params`` comes from ``_constants``.  All four fields update from
-    the same state: the Laplacian over the span, each block times its
-    diffusivity, plus the reaction rates of both pairs, which one
-    ``reaction_fields`` pass writes into the first scratch array; that
-    sum times dt is added onto the span.  Every operand is a view the
-    stencil built, so nothing is sliced or allocated.  ``refresh`` then
-    resets the padding, so one reduction over the span sees only
-    interior values, their copies and zeros: a NaN anywhere, or a
-    magnitude above BLOWUP_LIMIT, raises BlowUpError.
+    The stencil must have been built with the run's params.  All four
+    fields update from the same state: the Laplacian over the span, each
+    block times its diffusivity, plus the reaction rates of both pairs,
+    which one ``reaction_fields`` pass writes into the first scratch
+    array; that sum times dt is added onto the span.  Every operand is a
+    view the stencil built, so nothing is sliced or allocated.
+    ``refresh`` then resets the padding, so one reduction over the span
+    sees only interior values, their copies and zeros: a NaN anywhere,
+    or a magnitude above BLOWUP_LIMIT, raises BlowUpError.
     """
     lap = stencil.laplacian()
-    np.multiply(stencil.lap_blocks, params.diffusivities, stencil.lap_blocks)
-    reaction_fields(stencil.activators, stencil.inhibitors, params, stencil.reaction)
+    np.multiply(stencil.lap_blocks, stencil.diffusivities, stencil.lap_blocks)
+    reaction_fields(stencil.activators, stencil.inhibitors, stencil.params, stencil.reaction)
     np.add(lap, stencil.rates, lap)
     np.multiply(lap, dt, lap)
     np.add(stencil.span, lap, stencil.span)
@@ -328,8 +324,8 @@ def _state_like(state, stencil):
 
 def step(state, params, dt):
     """One explicit step; all four fields update from the same state."""
-    stencil = _Stencil(state.data, state.dx, state.dy, state.bc)
-    _advance(stencil, _constants(params), dt, 1)
+    stencil = _Stencil(state.data, state.dx, state.dy, state.bc, params)
+    _advance(stencil, dt, 1)
     return _state_like(state, stencil)
 
 
@@ -362,12 +358,11 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
         )
 
     dx, dy = state0.dx, state0.dy
-    stencil = _Stencil(state0.data, dx, dy, state0.bc)
-    constants = _constants(params)
+    stencil = _Stencil(state0.data, dx, dy, state0.bc, params)
     records = []
     for k in range(step_offset, total_steps + 1):
         if k > step_offset:
-            _advance(stencil, constants, cfg.dt, k)
+            _advance(stencil, cfg.dt, k)
         elif k:
             # The run that stopped at step_offset has emitted this step.
             continue

@@ -240,16 +240,40 @@ def chain_text(out_dir, t_end, extra=""):
     )
 
 
+def directory_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
 @pytest.mark.parametrize("bad", ["probe_ix = 500", "nx = 2", "dt = 5"])
 def test_rejected_simulate_writes_no_file(tmp_path, capsys, bad):
     # A probe off the grid, or a step past the stability limit, fails
-    # before the snapshot of step 0 is written.
+    # before the snapshot of step 0 is written, and before the snapshots
+    # of a longer run in the same directory, past this run's end, go.
     out = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(chain_text(out, 10, extra=f"snapshot_every = 12\n{bad}\n"))
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "numerical failure" not in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+    run_simulate(parse_config(chain_text(out, 20, "snapshot_every = 120\n")))
+    before = directory_bytes(out)
+    assert "snapshot_15.csv" in before and "snapshot_20.csv" in before
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert directory_bytes(out) == before
+
+
+def test_resume_that_ends_before_its_checkpoint_changes_no_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    run_simulate(parse_config(chain_text(out, 10, "snapshot_every = 120\n")))
+    before = directory_bytes(out)
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text(
+        chain_text(out, 5, f"snapshot_every = 120\nresume_from = {out / 'checkpoint.ck'}\n")
+    )
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "t_end 5 is not past the starting step 240" in capsys.readouterr().err
+    assert directory_bytes(out) == before
 
 
 def test_retried_resume_matches_uninterrupted(tmp_path):

@@ -34,7 +34,6 @@ from b4.solver import (
     ObservableRecord,
     SolverConfig,
     _advance,
-    _constants,
     _Stencil,
     simulate,
     stability_limit,
@@ -151,10 +150,10 @@ def padded(fields, bc):
     return np.pad(fields, widths, mode="reflect" if bc == BC_NEUMANN else "constant")
 
 
-def blow_up_message(advance, stencil, params, dt, k):
+def blow_up_message(step):
     """None, or the BlowUpError of the step and its fields, NaNs compared as text."""
     try:
-        advance(stencil, params, dt, k)
+        step()
     except BlowUpError as err:
         return repr((str(err), err.t, err.step_index, err.max_abs, err.field_maxima))
     return None
@@ -197,13 +196,12 @@ def test_kernel_is_bit_equal_to_the_per_field_stencil(run):
     _, nx, ny = data.shape
     ix, iy = nx // 2, ny // 2
     old = ReferenceStencil(data, dx, dy, bc)
-    new = _Stencil(data, dx, dy, bc)
-    constants = _constants(params)
+    new = _Stencil(data, dx, dy, bc, params)
     assert new.buffer.tobytes() == padded(new.fields, bc).tobytes()
     with np.errstate(all="ignore"):
         for k in range(1, steps + 1):
-            want = blow_up_message(reference_advance, old, params, dt, k)
-            got = blow_up_message(_advance, new, constants, dt, k)
+            want = blow_up_message(lambda: reference_advance(old, params, dt, k))
+            got = blow_up_message(lambda: _advance(new, dt, k))
             assert got == want
             assert in_field_order(new).tobytes() == old.fields.tobytes()
             assert new.buffer.tobytes() == padded(new.fields, bc).tobytes()
@@ -222,12 +220,11 @@ def test_the_blow_up_check_sees_only_the_interior_peak(run):
     # reports the peak the check saw; it must be the interior's.
     data, dx, dy, bc, params, dt, steps = run
     old = ReferenceStencil(data, dx, dy, bc)
-    new = _Stencil(data, dx, dy, bc)
-    constants = _constants(params)
+    new = _Stencil(data, dx, dy, bc, params)
     with np.errstate(all="ignore"), mock.patch.object(solver, "BLOWUP_LIMIT", -1.0):
         for k in range(1, steps + 1):
-            want = blow_up_message(reference_advance, old, params, dt, k)
-            got = blow_up_message(_advance, new, constants, dt, k)
+            want = blow_up_message(lambda: reference_advance(old, params, dt, k))
+            got = blow_up_message(lambda: _advance(new, dt, k))
             assert got == want
             assert in_field_order(new).tobytes() == old.fields.tobytes()
 
@@ -270,13 +267,12 @@ def test_zero_walls_never_report_a_peak_above_the_interior():
     rng = np.random.default_rng(5)
     base = np.array(stationary_solution(params).as_tuple()).reshape(4, 1, 1)
     data = base * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, (4, 12, 9)))
-    stencil = _Stencil(data, 1.0, 1.0, BC_DIRICHLET0)
-    constants = _constants(params)
+    stencil = _Stencil(data, 1.0, 1.0, BC_DIRICHLET0, params)
     dt = stability_limit(params, GridState(12, 9, 1.0, 1.0, *data, bc=BC_DIRICHLET0))
     with mock.patch.object(solver, "BLOWUP_LIMIT", -1.0):
         for k in range(1, 401):
             with pytest.raises(BlowUpError) as info:
-                _advance(stencil, constants, dt, k)
+                _advance(stencil, dt, k)
             assert info.value.max_abs == float(np.abs(stencil.fields).max())
 
 
