@@ -224,7 +224,7 @@ def serialize(config):
 
 
 def _spec(kind):
-    if issubclass(kind, bool):
+    if issubclass(kind, (bool, str)):
         return "%s"
     return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
@@ -255,6 +255,28 @@ def _kept_end(path, keep, t=None):
         return fh.tell()
 
 
+def _check_probe_row(path, end, state, probe):
+    """Raise ConfigError unless the row of path that ends at byte end holds
+    the state's fields at probe, after its time.
+
+    The row was written with 17 significant digits, so it reads back
+    exactly.  A probe off the grid is left to ``simulate`` to reject.
+    """
+    ix, iy = probe
+    if not (ix < state.nx and iy < state.ny):
+        return
+    with open(path, "rb") as fh:
+        rows = fh.read(end).splitlines()
+    found = [float(v) for v in rows[-1].split(b",")[1:]]
+    want = state.data[:, ix, iy].tolist()
+    if found != want:
+        raise ConfigError(
+            f"{path} row {len(rows)} holds {found}, not {want}, the checkpoint's "
+            f"fields at the probe ({ix}, {iy}); resume with the probe_ix and "
+            "probe_iy of the run that wrote the files"
+        )
+
+
 def _write_csv(path, header, rows, at=None):
     """Write rows under a header into a new file.
 
@@ -262,9 +284,9 @@ def _write_csv(path, header, rows, at=None):
     first ``at`` bytes, is cut there, and gets the rows after them.
 
     Each value is typed on its own, not by its column: a bool is written
-    as true or false, an integer (numpy's too) in full, anything else as
-    a float with 17 significant digits.  Rows go out through one ``%``
-    format per sequence of types, built once.
+    as true or false, a str as it is, an integer (numpy's too) in full,
+    anything else as a float with 17 significant digits.  Rows go out
+    through one ``%`` format per sequence of types, built once.
     """
     formats = {}
     if at is not None:
@@ -317,10 +339,15 @@ def _check_snapshot_names(run, start_step, every):
 
 
 def _snapshot_rows(state):
-    """(x, y, u, v, w, z) for every node, x major, one grid line at a time."""
-    ys = (np.arange(state.ny) * state.dy).tolist()
+    """(x, y, u, v, w, z) for every node, x major, one grid line at a time.
+
+    The coordinates come as text, formatted as ``_write_csv`` formats a
+    float: x once per grid line, the y column once per snapshot.
+    """
+    fmt = _spec(float)
+    ys = [fmt % y for y in (np.arange(state.ny) * state.dy).tolist()]
     for x, line in zip((np.arange(state.nx) * state.dx).tolist(), state.data.transpose(1, 0, 2)):
-        yield from zip([x] * len(ys), ys, *line.tolist())
+        yield from zip([fmt % x] * len(ys), ys, *line.tolist())
 
 
 def run_simulate(config):
@@ -336,7 +363,9 @@ def run_simulate(config):
     files whose time, as their names round it, is past the run's last
     step are removed once it has integrated.  A resume
     whose dt or record_every differs from the run that wrote the files
-    raises ConfigError before it integrates.  Returns the written paths.
+    raises ConfigError before it integrates, and so does one from a
+    checkpoint at a record step whose probe is not where that run's was.
+    Returns the written paths.
     """
     out = Path(config.out_dir)
     probe_path = out / "probe.csv"
@@ -390,6 +419,10 @@ def run_simulate(config):
             _kept_end(path, kept + 1, kept * config.record_every * dt) if resuming else None
             for path in (probe_path, norms_path)
         )
+        # At a record step, the last kept probe row holds the checkpoint's
+        # fields, so a resume that moves the probe shows there.
+        if probe_end is not None and start_step % config.record_every == 0:
+            _check_probe_row(probe_path, probe_end, state, run.probe)
         out.mkdir(parents=True, exist_ok=True)
         result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
     except ValueError as exc:

@@ -10,13 +10,17 @@ after the other (``_Stencil``), in role order (u, w, v, z): the
 activators u, w in one block, the inhibitors v, z in the next.  So one
 ``reaction_fields`` pass covers both Brusselator pairs, and a step is a
 fixed run of ufunc calls on views built once per run: it slices and
-allocates nothing.  Each elementwise pass runs once over the flat span
-of all four fields.  The padding inside the span, corners included, is
-reset after every update, so the blow-up check sees only interior
-values, their mirrors and zeros.  Every operation keeps its operand
-order (the Laplacian sums onto zero, x before y), so values are those
-of differencing each field on its own, bit for bit.  Everything outside
-``_Stencil`` sees the fields in (u, v, w, z) order.
+allocates nothing.  The step runs chunk by chunk: the same whole padded
+rows of all four blocks, about STEP_BLOCK entries of each, so that a
+large grid's passes stay in cache.  A chunk's increment is added one
+chunk late, once the next chunk, which reads one row into it, has read
+the old state.  A small grid is one chunk, one flat span over all four
+fields.  The padding is reset after every update, and the blow-up check
+sees only interior values, their mirrors and zeros.  Every operation is
+elementwise and keeps its operand order (the Laplacian sums onto zero,
+x before y), so values are those of differencing each field on its own,
+bit for bit, whatever the chunks.  Everything outside ``_Stencil`` sees
+the fields in (u, v, w, z) order.
 """
 
 import contextlib
@@ -40,6 +44,7 @@ from .model import (
 )
 
 BLOWUP_LIMIT = 1e12
+STEP_BLOCK = 8192  # about the entries of each block that one chunk of a step covers
 
 _CHECKPOINT_MAGIC = b"B4CK"
 _CHECKPOINT_VERSION = 1
@@ -110,6 +115,34 @@ def _check_extent(n):
         raise ValueError("simulated directions need at least 3 grid points")
 
 
+@dataclass(slots=True)
+class _Chunk:
+    """Whole padded rows of all four blocks, and every view a step takes on them.
+
+    ``state`` is the chunk's nodes in the buffer.  ``lap`` gets their
+    Laplacian, then their increment; ``blocks`` is the same memory as
+    (4, ...) blocks, for the diffusivity column.  ``twice`` and ``pair``
+    are the scratch of the Laplacian, and the reaction writes its rates
+    into ``twice``.  ``axes`` holds (ahead, behind, h^2) for each
+    direction of extent above one, ``reaction`` the arguments of the
+    chunk's ``reaction_fields`` pass (None without params), and
+    ``peak`` what the blow-up check reads: the nodes, the array their
+    magnitudes go into and that array as one flat run.  ``rows`` are the
+    field rows the chunk holds and ``lap_nodes`` their nodes in ``lap``.
+    """
+
+    state: np.ndarray
+    lap: np.ndarray
+    blocks: np.ndarray
+    twice: np.ndarray
+    pair: np.ndarray
+    axes: list
+    reaction: tuple
+    peak: tuple
+    rows: slice
+    lap_nodes: np.ndarray
+
+
 class _Stencil:
     """The four fields of a (4, nx, ny) stack in one flat ghost-padded buffer.
 
@@ -118,24 +151,28 @@ class _Stencil:
     2 gx)(ny + 2 gy) consecutive entries: a row-major grid with one
     ghost layer on each side of every direction of extent above one
     (gx, gy are 0 or 1).  ``fields`` is the interior view, in role
-    order.  ``span`` runs from the first interior node of the first
-    block to the last of the last block, so a neighbour is the entry ±1
-    or ±(ny + 2 gy) away and one call covers all fields.  A pass over
-    the span also writes the padding cells inside it; ``refresh``
-    restores them, so that every padding cell holds zero or a copy of
-    an interior value.
+    order.  A neighbour is the entry ±1 or ±(ny + 2 gy) away.
 
-    ``laplacian`` sums each direction's scaled second difference onto
+    A step runs over ``chunks``: the same range of whole padded rows in
+    all four blocks, about STEP_BLOCK entries of each, so that what one
+    chunk's ufunc calls read and write stays in cache.  A block of at
+    most STEP_BLOCK entries is one chunk, whose nodes run as one flat
+    span from the first interior node of the first block to the last of
+    the last, and whose reaction runs over whole blocks: every view is
+    contiguous.  Longer blocks split into chunks of whole interior rows,
+    (4, c) views.  A pass over a chunk also writes the padding cells
+    inside it; ``refresh`` restores them, so that every padding cell
+    holds zero or a copy of an interior value.
+
+    The Laplacian sums each direction's scaled second difference onto
     zero, x before y, in the operation order of padding each field and
     differencing it axis by axis, so the result is that one bit for bit
-    (signed zeros included).  The reaction runs over whole blocks:
-    ``activators`` is the first two, ``inhibitors`` the last two, each
-    one contiguous stack.  Given ``params``, the stencil also holds what
-    ``_advance`` needs of them: ``reaction``, the ``reaction_buffers``
-    that a ``reaction_fields`` pass takes, and ``diffusivities``, the
-    column (a, c, b, d), one per block in role order.  The Laplacian
-    and its two scratch arrays are allocated here, once; the step kernel
-    and ``record`` reuse the scratch.  Ufuncs get their outputs
+    (signed zeros included).  Given ``params``, the stencil also holds
+    ``diffusivities``, the column (a, c, b, d), one per block in role
+    order, and each chunk the ``reaction_buffers`` of its rows.  The
+    chunks' scratch is four arrays of one chunk's size, made here, once:
+    two increments, used in turn, and the Laplacian's two.  ``record``
+    has its own array, as long as the fields.  Ufuncs get their outputs
     positionally and constants as 0-d arrays: either is cheaper per call
     than the alternative.
     """
@@ -147,34 +184,72 @@ class _Stencil:
         gx, gy = int(nx > 1), int(ny > 1)
         row = ny + 2 * gy
         size = (nx + 2 * gx) * row
-        start = gx * row + gy
-        span = slice(start, 4 * size - start)
         self.buffer = np.zeros(4 * size)
         grid = self.buffer.reshape(4, nx + 2 * gx, row)
         self.fields = grid[:, gx : gx + nx, gy : gy + ny]
         self.fields[...] = _swap_roles(data)
-        self.span = self.buffer[span]
-        lap, twice, pair = (np.zeros((4, size)) for _ in range(3))
-        self.lap = lap.reshape(-1)[span]
-        self.lap_blocks = lap
-        self.lap_fields = lap.reshape(grid.shape)[:, gx : gx + nx, gy : gy + ny]
-        # The first scratch array holds twice the fields in ``laplacian``
-        # and the reaction rates after it; the second is the scratch of both.
-        self.rates, self._pair = twice.reshape(-1)[span], pair.reshape(-1)[span]
-        blocks = self.buffer.reshape(4, size)
-        self.activators, self.inhibitors = blocks[:2], blocks[2:]
-        self.params = params
         if params is not None:
-            self.reaction = reaction_buffers(self.activators, self.inhibitors, twice, pair, params)
             self.diffusivities = np.array([[params.a], [params.c], [params.b], [params.d]])
-        self._axes = [
-            (self.buffer[start + step : span.stop + step],
-             self.buffer[start - step : span.stop - step],
-             np.array(h**2))
-            for n, step, h in ((nx, row, dx), (ny, 1, dy))
-            if n > 1
-        ]
         self._two, self._zero = np.array(2.0), np.array(0.0)
+        self._record = np.empty(4 * nx * ny)
+
+        # The chunks as ranges of padded rows: the whole block, or the
+        # interior rows split as evenly as whole rows allow.
+        count = 1 if size <= STEP_BLOCK else -(-nx // max(STEP_BLOCK // row, 1))
+        if count == 1:
+            ranges = [(0, nx + 2 * gx)]
+        else:
+            ranges = [(gx + nx * j // count, gx + nx * (j + 1) // count) for j in range(count)]
+        width = max(r1 - r0 for r0, r1 in ranges) * row
+        *incs, twice, pair = np.zeros((4, 4, width))
+        blocks = self.buffer.reshape(4, size)
+        steps = [(step, np.array(h**2)) for n, step, h in ((nx, row, dx), (ny, 1, dy)) if n > 1]
+        self.chunks = []
+        for j, (r0, r1) in enumerate(ranges):
+            lo, hi = r0 * row, r1 * row
+            # The chunk's rows of every block, in the buffer and in scratch.
+            whole = [blocks[:, lo:hi]] + [a[:, : hi - lo] for a in (incs[j % 2], twice, pair)]
+            n0, n1 = max(r0, gx), min(r1, gx + nx)
+            rows = slice(n0 - gx, n1 - gx)
+            # The padding in a chunk holds stale sums until ``refresh``, which
+            # runs once, before the last chunk is checked for blow-up.  So
+            # ``peak`` is that check's nodes and where their magnitudes go.
+            if count == 1:
+                # Whole blocks: the nodes of all four, and the padding
+                # between them, are one flat span, checked after ``refresh``.
+                base, lo = self.buffer, gx * row + gy
+                hi = base.size - lo
+                state, lap, rates, work = (a.reshape(-1)[lo:hi] for a in whole)
+                peak = (state, lap, lap)
+            else:
+                # The nodes alone, into the front of the spent increment.
+                base = blocks
+                state, lap, rates, work = whole
+                flat = incs[j % 2].reshape(-1)[: 4 * (n1 - n0) * ny]
+                peak = (self.fields[:, rows], flat.reshape(4, n1 - n0, ny), flat)
+            lap_nodes = whole[1].reshape(4, r1 - r0, row)[:, n0 - r0 : n1 - r0, gy : gy + ny]
+            reaction = None
+            if params is not None:
+                x, y = whole[0][:2], whole[0][2:]
+                reaction = (x, y, params, reaction_buffers(x, y, whole[2], whole[3], params))
+            self.chunks.append(
+                _Chunk(
+                    state=state,
+                    lap=lap,
+                    blocks=whole[1],
+                    twice=rates,
+                    pair=work,
+                    axes=[
+                        (base[..., lo + s : hi + s], base[..., lo - s : hi - s], h2)
+                        for s, h2 in steps
+                    ],
+                    reaction=reaction,
+                    peak=peak,
+                    rows=rows,
+                    lap_nodes=lap_nodes,
+                )
+            )
+
         # Both walls of a direction as one strided view, and the lines
         # they mirror: the second node from each end (one line if n = 3).
         self._walls = []
@@ -198,14 +273,14 @@ class _Stencil:
             else:
                 ghosts.fill(0.0)
 
-    def laplacian(self):
-        """The Laplacian over the span, in ``lap``, reused by every call."""
-        lap, twice, pair = self.lap, self.rates, self._pair
-        if not self._axes:
+    def laplacian(self, chunk):
+        """The Laplacian of a chunk's nodes, in its ``lap``."""
+        lap, twice, pair = chunk.lap, chunk.twice, chunk.pair
+        if not chunk.axes:
             lap.fill(0.0)
             return lap
-        np.multiply(self.span, self._two, twice)
-        for i, (ahead, behind, h2) in enumerate(self._axes):
+        np.multiply(chunk.state, self._two, twice)
+        for i, (ahead, behind, h2) in enumerate(chunk.axes):
             np.add(ahead, behind, pair)
             np.subtract(pair, twice, pair)
             np.divide(pair, h2, pair)
@@ -215,29 +290,29 @@ class _Stencil:
     def record(self, t, ix, iy, dx, dy):
         """The observables of the current fields, from stacked passes.
 
-        The squares and differences go into the scratch arrays, one
+        The squares and differences go into the record array, one
         contiguous row per field, and each row sums the way ``np.sum``
         sums that field alone, so every value is the per-field one bit
         for bit.  Each tuple is in field order.
         """
-        fields = self.fields
-        twice, pair = self.rates, self._pair
+        fields, scratch = self.fields, self._record
 
-        def sum_of_squares(values, scratch):
+        def sum_of_squares(values):
             rows = scratch[: values.size].reshape(values.shape)
             np.multiply(values, values, rows)
             return rows.reshape(4, -1).sum(axis=1)
 
-        l2 = sum_of_squares(fields, twice)
+        l2 = sum_of_squares(fields)
         grad = [0.0] * 4
         for h, ahead, behind in (
             (dx, fields[:, 1:], fields[:, :-1]),
             (dy, fields[:, :, 1:], fields[:, :, :-1]),
         ):
             if ahead.size:
-                diff = np.subtract(ahead, behind, pair[: ahead.size].reshape(ahead.shape))
+                # The differences are squared where they are.
+                diff = np.subtract(ahead, behind, scratch[: ahead.size].reshape(ahead.shape))
                 np.divide(diff, h, diff)
-                for i, total in enumerate(sum_of_squares(diff, twice).tolist()):
+                for i, total in enumerate(sum_of_squares(diff).tolist()):
                     grad[i] += total
         cell = dx * dy
         return ObservableRecord(
@@ -258,8 +333,11 @@ def laplacian(field, dx, dy, bc=BC_NEUMANN):
     check_geometry(*field.shape, dx, dy, bc)
     # The stencil holds four fields; here each of them is this one.
     stencil = _Stencil(np.broadcast_to(field, (4, *field.shape)), dx, dy, bc)
-    stencil.laplacian()
-    return stencil.lap_fields[0].copy()
+    out = np.empty(field.shape)
+    for chunk in stencil.chunks:
+        stencil.laplacian(chunk)
+        out[chunk.rows] = chunk.lap_nodes[0]
+    return out
 
 
 def stability_limit(params, state):
@@ -288,25 +366,46 @@ def _advance(stencil, dt, k):
     """Step k of forward Euler, in place on the stencil's buffer.
 
     The stencil must have been built with the run's params.  All four
-    fields update from the same state: the Laplacian over the span, each
-    block times its diffusivity, plus the reaction rates of both pairs,
-    which one ``reaction_fields`` pass writes into the first scratch
-    array; that sum times dt is added onto the span.  Every operand is a
-    view the stencil built, so nothing is sliced or allocated.
-    ``refresh`` then resets the padding, so one reduction over the span
-    sees only interior values, their copies and zeros: a NaN anywhere,
-    or a magnitude above BLOWUP_LIMIT, raises BlowUpError.
+    fields update from the same state, one chunk at a time: the chunk's
+    Laplacian, each block times its diffusivity, plus the reaction
+    rates of both pairs from one ``reaction_fields`` pass, times dt, go
+    into the chunk's increment.  Then the chunk before it gets its
+    increment added: a chunk reads one row past each end, so the rows
+    before it must still hold the old state when its increment is made,
+    and this lag of one chunk is enough.  The two increment arrays
+    alternate, so the one that waits is never overwritten.  Every value
+    is the same elementwise expression of the old state as in one pass
+    over whole blocks, so the chunk size never changes a bit.
+
+    Each chunk's nodes are checked for blow-up as soon as they hold the
+    new state, while they are in cache.  ``refresh`` resets the padding
+    once, before the last chunk's check, so a lone chunk's check may
+    take its flat span: it holds only nodes, their copies and zeros.  A
+    NaN anywhere, or a magnitude above BLOWUP_LIMIT, raises BlowUpError
+    once the whole step is taken.  Every operand is a view the stencil
+    built, so nothing is sliced or allocated.
     """
-    lap = stencil.laplacian()
-    np.multiply(stencil.lap_blocks, stencil.diffusivities, stencil.lap_blocks)
-    reaction_fields(stencil.activators, stencil.inhibitors, stencil.params, stencil.reaction)
-    np.add(lap, stencil.rates, lap)
-    np.multiply(lap, dt, lap)
-    np.add(stencil.span, lap, stencil.span)
+    column, in_range, behind = stencil.diffusivities, True, None
+    for chunk in stencil.chunks:
+        lap = stencil.laplacian(chunk)
+        np.multiply(chunk.blocks, column, chunk.blocks)
+        reaction_fields(*chunk.reaction)
+        np.add(lap, chunk.twice, lap)
+        np.multiply(lap, dt, lap)
+        if behind is not None:
+            np.add(behind.state, behind.lap, behind.state)
+            nodes, magnitudes, flat = behind.peak
+            np.abs(nodes, magnitudes)
+            in_range &= float(np.maximum.reduce(flat)) <= BLOWUP_LIMIT
+        behind = chunk
+    np.add(behind.state, behind.lap, behind.state)
     stencil.refresh()
-    peak = float(np.maximum.reduce(np.abs(stencil.span, lap)))
-    if not peak <= BLOWUP_LIMIT:
+    nodes, magnitudes, flat = behind.peak
+    np.abs(nodes, magnitudes)
+    in_range &= float(np.maximum.reduce(flat)) <= BLOWUP_LIMIT
+    if not in_range:
         maxima = _swap_roles([float(np.max(np.abs(f))) for f in stencil.fields])
+        peak = float(np.max(maxima))
         raise BlowUpError(
             f"blow-up at t={k * dt:g} (step {k}): max |field| = {peak:.3e}, "
             f"per-field maxima {maxima}",

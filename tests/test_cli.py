@@ -337,6 +337,31 @@ def test_resume_checks_the_kept_rows_before_it_integrates(tmp_path, monkeypatch)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_resume_that_moves_the_probe_fails_before_it_integrates(tmp_path, monkeypatch, capsys):
+    # t = 10 is step 240, a record step, so probe.csv's last kept row holds
+    # the checkpoint's fields at the probe of the run that wrote it.
+    out = tmp_path / "out"
+    run_simulate(parse_config(chain_text(out, 10, "probe_ix = 3\n")))
+    before = directory_bytes(out)
+    cfg = tmp_path / "resume.cfg"
+    resume = f"resume_from = {out / 'checkpoint.ck'}\n"
+    cfg.write_text(chain_text(out, 14, f"probe_ix = 15\n{resume}"))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "simulate", lambda *args, **kwargs: pytest.fail("simulate ran"))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "probe.csv row 12 holds" in err and "at the probe (15, 0)" in err, err
+    assert directory_bytes(out) == before
+
+    # The probe of the run that wrote the files resumes as before.
+    cfg.write_text(chain_text(out, 14, f"probe_ix = 3\n{resume}"))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    full = tmp_path / "full"
+    run_simulate(parse_config(chain_text(full, 14, "probe_ix = 3\n")))
+    assert (out / "probe.csv").read_bytes() == (full / "probe.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "changed, message",
     [

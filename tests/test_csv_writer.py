@@ -22,6 +22,8 @@ from b4.model import BC_DIRICHLET0, BC_NEUMANN, GridState
 
 
 def oracle_fmt(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -69,6 +71,9 @@ values = st.one_of(
     st.integers(0, 2**64 - 1).map(np.uint64),
     # the feasibility flag
     st.booleans(),
+    # preformatted text, as the snapshot coordinates; a row ends only at its newline
+    st.text(st.characters(max_codepoint=127, blacklist_characters="\n"), max_size=30),
+    st.floats(allow_nan=True, allow_infinity=True).map(lambda v: "%.17g" % v),
 )
 
 

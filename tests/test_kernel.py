@@ -7,10 +7,12 @@ the reaction formula written with operators.  The kernel must match
 them byte for byte after every step, raise BlowUpError at the same step
 with the same message, and leave every padding cell as ``np.pad`` would
 make it, so the blow-up check never sees a value the fields do not hold.
+That holds for any chunking of the step: ``STEP_BLOCK`` sets speed only.
 """
 
 import math
 from dataclasses import astuple
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -285,3 +287,94 @@ def test_stacked_record_is_bit_equal_on_large_grids(nx, ny):
         got = stencil.record(0.5, nx // 3, ny // 2, 0.37, 1.3)
         want = reference_record(0.5, nx // 3, ny // 2, in_field_order(stencil), 0.37, 1.3)
         assert repr(astuple(got)) == repr(astuple(want))
+
+
+def next_peak(old, params, dt, k, dx, dy, bc):
+    """The largest magnitude the reference's next step gives its fields (NaN if any is)."""
+    trial = ReferenceStencil(old.fields.copy(), dx, dy, bc)
+    with mock.patch.object(solver, "BLOWUP_LIMIT", math.inf):
+        blow_up_message(lambda: reference_advance(trial, params, dt, k))
+    return float(np.abs(trial.fields).max())
+
+
+@st.composite
+def chunked_runs(draw):
+    """A run, a STEP_BLOCK from one padded row up to the whole block, and
+    for each step whether the blow-up limit sits just below its peak."""
+    run = draw(runs())
+    _, nx, ny = run[0].shape
+    row = ny + 2 * int(ny > 1)
+    block = draw(st.integers(row, (nx + 2 * int(nx > 1)) * row))
+    tight = draw(st.lists(st.booleans(), min_size=run[-1], max_size=run[-1]))
+    return run, block, tight
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=chunked_runs())
+def test_every_chunking_is_bit_equal_to_the_per_field_stencil(run):
+    # Each step's limit is its true peak, or the float just below it, so
+    # a check that misses the peak node, or sees a node's old value,
+    # raises where the reference does not or the other way round.
+    (data, dx, dy, bc, params, dt, steps), block, tight = run
+    old = ReferenceStencil(data, dx, dy, bc)
+    with mock.patch.object(solver, "STEP_BLOCK", block):
+        new = _Stencil(data, dx, dy, bc, params)
+        with np.errstate(all="ignore"):
+            lap = solver.laplacian(data[0], dx, dy, bc)
+            assert lap.tobytes() == ReferenceStencil(data, dx, dy, bc).laplacian()[0].tobytes()
+    with np.errstate(all="ignore"):
+        for k, below in enumerate(tight, 1):
+            peak = next_peak(old, params, dt, k, dx, dy, bc)
+            limit = np.nextafter(peak, -math.inf) if below else peak
+            with mock.patch.object(solver, "BLOWUP_LIMIT", limit):
+                want = blow_up_message(lambda: reference_advance(old, params, dt, k))
+                got = blow_up_message(lambda: _advance(new, dt, k))
+            assert got == want
+            assert in_field_order(new).tobytes() == old.fields.tobytes()
+            assert new.buffer.tobytes() == padded(new.fields, bc).tobytes()
+
+
+@pytest.mark.parametrize("bc", [BC_NEUMANN, BC_DIRICHLET0])
+def test_large_grid_chunks_are_bit_equal_to_one_chunk(bc):
+    params = SystemParams(a=0.05, b=0.1, c=0.15, d=0.2)
+    rng = np.random.default_rng(11)
+    base = np.array(stationary_solution(params).as_tuple()).reshape(4, 1, 1)
+    data = base * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, (4, 200, 200)))
+    dt = stability_limit(params, GridState(200, 200, 1.0, 1.0, *data, bc=bc))
+    chunked = _Stencil(data, 1.0, 1.0, bc, params)
+    with mock.patch.object(solver, "STEP_BLOCK", chunked.buffer.size):
+        whole = _Stencil(data, 1.0, 1.0, bc, params)
+    assert len(chunked.chunks) > 1 and len(whole.chunks) == 1
+    for k in range(1, 51):
+        _advance(chunked, dt, k)
+        _advance(whole, dt, k)
+    assert chunked.buffer.tobytes() == whole.buffer.tobytes()
+
+
+def arrays_in(value):
+    """Every ndarray in value, through tuples, lists and namespaces."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, SimpleNamespace):
+        value = list(vars(value).values())
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in arrays_in(item)]
+    return []
+
+
+@pytest.mark.parametrize("nx, ny", [(200, 1), (1, 1), (12, 9)])
+def test_a_small_block_is_one_chunk_of_contiguous_views(nx, ny):
+    # Strided views would cost every ufunc call of a small grid's step.
+    stencil = _Stencil(np.ones((4, nx, ny)), 1.0, 1.0, BC_NEUMANN, SystemParams())
+    (chunk,) = stencil.chunks
+    # lap_nodes, the nodes without their padding, serves only ``laplacian``.
+    views = [getattr(chunk, name) for name in chunk.__slots__ if name != "lap_nodes"]
+    found = arrays_in(views)
+    assert len(found) > 20
+    assert all(a.flags.c_contiguous for a in found)
+
+
+def test_a_large_block_is_several_chunks():
+    stencil = _Stencil(np.ones((4, 200, 200)), 1.0, 1.0, BC_DIRICHLET0, SystemParams())
+    assert len(stencil.chunks) > 1
+    assert all(c.state.shape[1] <= solver.STEP_BLOCK for c in stencil.chunks)
