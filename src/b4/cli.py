@@ -119,10 +119,10 @@ class RunConfig:
     snapshot_every: int = _key(0, "nonneg")
     resume_from: str = ""
     out_dir: str = "b4_out"
-    # time-series analysis
-    threshold: float = _key(1e-2, "nonneg")
-    m_max: int = _key(50, "ge2")
-    theiler: int | None = _key(None, "nonneg")
+    # time-series analysis, defaulting to AnalysisConfig
+    threshold: float = _key(AnalysisConfig.threshold, "nonneg")
+    m_max: int = _key(AnalysisConfig.m_max, "ge2")
+    theiler: int | None = _key(AnalysisConfig.theiler, "nonneg")
     series_file: str = ""
     series_column: str = _key("u", "column")
     # dimension bounds and feasibility
@@ -229,12 +229,13 @@ def _spec(kind):
     return "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
-def _kept_end(path, keep, t=None):
+def _kept_end(path, keep, t=None, probe=None):
     """The byte offset just past the header and the first ``keep`` rows of path.
 
     None if there is no file.  A file with fewer complete rows raises
     ConfigError, and so does one whose last kept row is not at time t,
-    when t is given.
+    when t is given, or does not hold the values of probe, an (ix, iy,
+    values) triple, after its time, when probe is given.
     """
     if not path.exists():
         return None
@@ -243,8 +244,8 @@ def _kept_end(path, keep, t=None):
             row = fh.readline()
             if not row.endswith(b"\n"):
                 raise ConfigError(f"{path} holds fewer than the {keep} rows to keep")
+        # Rows were written with 17 significant digits, so they read back exactly.
         if t is not None:
-            # t was written with 17 significant digits, so it reads back exactly.
             found = float(row.split(b",", 1)[0])
             if found != t:
                 raise ConfigError(
@@ -252,29 +253,16 @@ def _kept_end(path, keep, t=None):
                     "last record up to the checkpoint; resume with the dt and "
                     "record_every of the run that wrote the files"
                 )
+        if probe is not None:
+            ix, iy, want = probe
+            found = [float(v) for v in row.split(b",")[1:]]
+            if found != want:
+                raise ConfigError(
+                    f"{path} row {keep + 1} holds {found}, not {want}, the checkpoint's "
+                    f"fields at the probe ({ix}, {iy}); resume with the probe_ix and "
+                    "probe_iy of the run that wrote the files"
+                )
         return fh.tell()
-
-
-def _check_probe_row(path, end, state, probe):
-    """Raise ConfigError unless the row of path that ends at byte end holds
-    the state's fields at probe, after its time.
-
-    The row was written with 17 significant digits, so it reads back
-    exactly.  A probe off the grid is left to ``simulate`` to reject.
-    """
-    ix, iy = probe
-    if not (ix < state.nx and iy < state.ny):
-        return
-    with open(path, "rb") as fh:
-        rows = fh.read(end).splitlines()
-    found = [float(v) for v in rows[-1].split(b",")[1:]]
-    want = state.data[:, ix, iy].tolist()
-    if found != want:
-        raise ConfigError(
-            f"{path} row {len(rows)} holds {found}, not {want}, the checkpoint's "
-            f"fields at the probe ({ix}, {iy}); resume with the probe_ix and "
-            "probe_iy of the run that wrote the files"
-        )
 
 
 def _write_csv(path, header, rows, at=None):
@@ -414,15 +402,19 @@ def run_simulate(config):
             _check_snapshot_names(run, start_step, config.snapshot_every)
         # A resume keeps the rows up to the checkpoint step, which the run
         # that wrote it has written; None writes a new file.
-        kept = start_step // config.record_every
-        probe_end, norms_end = (
-            _kept_end(path, kept + 1, kept * config.record_every * dt) if resuming else None
-            for path in (probe_path, norms_path)
-        )
-        # At a record step, the last kept probe row holds the checkpoint's
-        # fields, so a resume that moves the probe shows there.
-        if probe_end is not None and start_step % config.record_every == 0:
-            _check_probe_row(probe_path, probe_end, state, run.probe)
+        probe_end = norms_end = None
+        if resuming:
+            kept = start_step // config.record_every
+            t_kept = kept * config.record_every * dt
+            # At a record step, the last kept probe row holds the checkpoint's
+            # fields, so a resume that moves the probe shows there.  A probe
+            # off the grid is left to ``simulate`` to reject.
+            ix, iy = run.probe
+            probe = None
+            if start_step % config.record_every == 0 and ix < state.nx and iy < state.ny:
+                probe = (ix, iy, state.data[:, ix, iy].tolist())
+            probe_end = _kept_end(probe_path, kept + 1, t_kept, probe)
+            norms_end = _kept_end(norms_path, kept + 1, t_kept)
         out.mkdir(parents=True, exist_ok=True)
         result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
     except ValueError as exc:

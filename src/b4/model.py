@@ -157,30 +157,25 @@ def reaction_buffers(activators, inhibitors, rates, work, params):
     return constants, partners, rates, rates[:2], rates[2:], work, x_diff
 
 
-def reaction_fields(activators, inhibitors, params, out=None):
+def reaction_fields(activators, inhibitors, buffers):
     """Elementwise reaction rates of both pairs in one pass: ((f, h), (g, k)).
 
     ``activators`` stacks (u, w) and ``inhibitors`` stacks (v, z), each
-    as two scalars or two arrays of one shape.  The pair (w, z) follows
-    the formula of (u, v) with the pairs' roles swapped and D3, D4 in
-    place of D1, D2, so one pass over the stacks x and y, against the
-    stacks reversed, gives all four rates:
+    as two arrays of one shape.  The pair (w, z) follows the formula of
+    (u, v) with the pairs' roles swapped and D3, D4 in place of D1, D2,
+    so one pass over the stacks x and y, against the stacks reversed,
+    gives all four rates:
 
         (f, h) = alpha - (beta + 1) x + x^2 y + (D1, D3) (x[::-1] - x)
         (g, k) = beta x - x^2 y + (D2, D4) (y[::-1] - y)
 
-    each evaluated left to right, in 13 ufunc calls.  Without ``out``
-    the rates come back as new arrays.  With it, ``out`` is the
-    ``reaction_buffers`` of these stacks and of ``params``, built once,
-    and the call reads the constants from it and allocates nothing.
+    each evaluated left to right, in 13 ufunc calls.  ``buffers`` is the
+    ``reaction_buffers`` of these stacks, built once: the call reads the
+    constants from it, writes the rates into it and allocates nothing.
     Outputs are passed positionally, which is cheaper per call.
     """
     x, y = activators, inhibitors
-    if out is None:
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)[1:]
-        out = reaction_buffers(x, y, np.empty((4, *shape)), np.empty((4, *shape)), params)
-    p, partners, rates, feed, drain, work, x_diff = out
+    p, partners, rates, feed, drain, work, x_diff = buffers
     # The local terms build up in the rates themselves and the scratch
     # holds beta x, then the differences: few arrays in cache on large grids.
     np.multiply(x, x, feed)

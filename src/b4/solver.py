@@ -231,7 +231,7 @@ class _Stencil:
             reaction = None
             if params is not None:
                 x, y = whole[0][:2], whole[0][2:]
-                reaction = (x, y, params, reaction_buffers(x, y, whole[2], whole[3], params))
+                reaction = (x, y, reaction_buffers(x, y, whole[2], whole[3], params))
             self.chunks.append(
                 _Chunk(
                     state=state,
@@ -419,13 +419,6 @@ def _advance(stencil, dt, k):
 def _state_like(state, stencil):
     fields = _swap_roles(stencil.fields)
     return GridState(state.nx, state.ny, state.dx, state.dy, *fields, bc=state.bc)
-
-
-def step(state, params, dt):
-    """One explicit step; all four fields update from the same state."""
-    stencil = _Stencil(state.data, state.dx, state.dy, state.bc, params)
-    _advance(stencil, dt, 1)
-    return _state_like(state, stencil)
 
 
 def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=None):

@@ -30,6 +30,7 @@ LYAP_MAX_STEPS = 50  # the divergence horizon, in embedded steps
 LYAP_MAX_REFS = 1000  # the reference points of the divergence curve
 LYAP_MIN_REFS = 10  # the fewest reference points with a usable neighbour
 PAIR_BLOCK = 16  # the reference points whose pair distances are sorted together
+MAX_POINTS = 20000  # about the embedded vectors kept, through the sample stride
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,9 @@ class AnalysisConfig:
     threshold: float = 1e-2
     m_max: int = 50
     theiler: int | None = None
-    max_points: int = 20000
 
     def __post_init__(self):
-        if self.m_max < 2 or self.threshold < 0 or self.max_points < 10:
+        if self.m_max < 2 or self.threshold < 0:
             raise ValueError("degenerate analysis configuration")
         if self.theiler is not None and self.theiler < 0:
             raise ValueError("theiler must be nonnegative")
@@ -146,15 +146,15 @@ def embed(series, m, tau, l=1):
     return EmbeddingMatrix(m=m, tau=tau, l=l, rows=x[idx])
 
 
-def svd_reduce(Y, threshold):
+def svd_reduce(rows, threshold):
     """Project rows onto singular directions above the threshold.
 
-    The matrix is column-mean centered first.  The threshold is
-    relative to the largest singular value; components below the
-    numerical-rank floor are dropped even at threshold zero.  Returns
-    (rotated coordinates, kept_count, singular_values descending).
+    ``rows`` is a 2-d array, one point per row, column-mean centered
+    first.  The threshold is relative to the largest singular value;
+    components below the numerical-rank floor are dropped even at
+    threshold zero.  Returns (rotated coordinates, kept_count,
+    singular_values descending).
     """
-    rows = Y.rows if isinstance(Y, EmbeddingMatrix) else np.asarray(Y, dtype=float)
     if rows.ndim != 2:
         raise ValueError("expected a 2-d embedding matrix")
     s_count, m = rows.shape
@@ -327,13 +327,13 @@ def albano_dimension(series, config=None):
     Takens condition m > 2d+1 holds, followed by a refinement scan
     keeping the best-fitting m.  Hitting m_max returns the last fit
     with takens_ok=False instead of raising.  The embedding takes every
-    l-th sample, l chosen to keep about max_points vectors.
+    l-th sample, l chosen to keep about MAX_POINTS vectors.
     """
     cfg = config if config is not None else AnalysisConfig()
     x = np.asarray(series, dtype=float).ravel()
     acf = autocorrelation(x, min(MAX_LAG, x.size - 1))
     tau = select_delay(acf)
-    stride = max(1, -(-x.size // cfg.max_points))
+    stride = max(1, -(-x.size // MAX_POINTS))
 
     def evaluate(m):
         emb = embed(x, m, tau, stride)
@@ -345,7 +345,7 @@ def albano_dimension(series, config=None):
                 f"embedding keeps {points} points, too few for pairs outside the "
                 f"Theiler window of {theiler}"
             )
-        coords, kept, sigma = svd_reduce(emb, cfg.threshold)
+        coords, kept, sigma = svd_reduce(emb.rows, cfg.threshold)
         radii = radii_grid(coords)
         C = correlation_integral(coords, radii, theiler)
         fit = correlation_dimension(radii, C)

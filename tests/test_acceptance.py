@@ -19,10 +19,12 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from b4 import tsa
 from b4.cli import parse_config, run_simulate
 from b4.functionals import (
     brqp_matrix,
@@ -39,7 +41,6 @@ from b4.model import (
     GridState,
     Point4,
     SystemParams,
-    reaction_fields,
     stationary_solution,
     validate_params,
 )
@@ -49,11 +50,9 @@ from b4.solver import (
     laplacian,
     load_checkpoint,
     simulate,
-    step,
 )
 from b4.spectral import lower_bound_base, mode_matrix, unstable_mode_count
 from b4.tsa import (
-    AnalysisConfig,
     albano_dimension,
     correlation_dimension,
     correlation_integral,
@@ -61,6 +60,8 @@ from b4.tsa import (
     largest_lyapunov,
 )
 from test_functionals import bordered_minor_parts, minor_closed_forms
+from test_model import pair_rates
+from test_solver import step
 from test_spectral import extract_Kprime
 
 DT = 1.0 / 24.0
@@ -99,7 +100,7 @@ def test_stationary_state_is_an_exact_equilibrium():
         params = SystemParams(alpha, beta, D1, D2, D3, D4, a, b, c, d)
         assert validate_params(params) == []
         u, v, w, z = stationary_solution(params).as_tuple()
-        (f, h), (g, k) = reaction_fields((u, w), (v, z), params)
+        (f, h), (g, k) = pair_rates((u, w), (v, z), params)
         worst = max(worst, max(abs(r) for r in (f, g, h, k)))
     assert worst <= 1e-14
     assert time.perf_counter() - t0 < 1.0
@@ -255,7 +256,7 @@ def test_discretization_convergence_and_euler_oracle():
     dt = 1e-3
     for _ in range(1000):
         state = step(state, params, dt)
-        (f, h), (g, k) = reaction_fields(scalar[::2], scalar[1::2], params)
+        (f, h), (g, k) = pair_rates(scalar[::2], scalar[1::2], params)
         scalar = [x + dt * r for x, r in zip(scalar, (f, g, h, k))]
     for field, x in zip(state.fields(), scalar):
         assert np.max(field) - np.min(field) == 0.0
@@ -318,7 +319,8 @@ def probe_window(state, t_end, probe, t_lo, sub):
 
 
 def dimension_and_rate(x, spacing):
-    report = albano_dimension(x, AnalysisConfig(max_points=6000))
+    with mock.patch.object(tsa, "MAX_POINTS", 6000):
+        report = albano_dimension(x)
     return report.d, largest_lyapunov(report.embedding, spacing)
 
 
@@ -349,7 +351,8 @@ def test_estimator_calibration_on_known_signals():
 
     # a pure tone is a one-dimensional loop spanned by two components
     tone = np.sin(2 * np.pi * np.arange(4000) / 100.0)
-    report = albano_dimension(tone, AnalysisConfig(max_points=1500, threshold=1e-2))
+    with mock.patch.object(tsa, "MAX_POINTS", 1500):
+        report = albano_dimension(tone)
     assert abs(report.d - 1.0) <= 0.15
     assert report.kept_count == 2
     lam_tone = largest_lyapunov(embed(tone, 5, report.tau))

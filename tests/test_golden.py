@@ -10,13 +10,15 @@ differently and legitimately need new digests.
 import hashlib
 import shutil
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
+from b4 import tsa
 from b4.cli import parse_config, run_analyze, run_simulate
 from b4.model import SystemParams, stationary_solution
 from b4.solver import SolverConfig, initial_condition, simulate
-from b4.tsa import AnalysisConfig, albano_dimension, largest_lyapunov
+from b4.tsa import albano_dimension, largest_lyapunov
 
 # The byte-identity run of the acceptance suite.
 SMALL_RUN = """
@@ -84,7 +86,7 @@ HENON_ANALYZE_SHA256 = {
 
 # d, fit_r2, the kept singular values and lambda1, then the radii and C
 # of the chosen fit, for the x coordinate of the Lorenz flow sampled
-# every 0.05 time units.  max_points = 500 embeds every third of the
+# every 0.05 time units.  MAX_POINTS = 500 embeds every third of the
 # 1,500 samples, and the divergence curve rises for 18 embedded steps
 # before it saturates, so lambda1 is fitted on the rising branch.
 LORENZ_STRIDED_SHA256 = "bf5156ed46ab07e82feed3f7a1d3e2d416c0304ff77b7803e01f572ddfff0f09"
@@ -171,7 +173,8 @@ def lorenz_series(n, seed, spacing=0.05, substeps=5):
 def test_strided_estimates_are_pinned():
     spacing = 0.05
     x = lorenz_series(1500, seed=1, spacing=spacing)
-    report = albano_dimension(x, AnalysisConfig(max_points=500))
+    with mock.patch.object(tsa, "MAX_POINTS", 500):
+        report = albano_dimension(x)
     lam = largest_lyapunov(report.embedding, spacing)
     assert report.embedding.l == 3
     values = np.array([report.d, report.fit_r2, *report.singular_values, lam])

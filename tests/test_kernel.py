@@ -28,7 +28,6 @@ from b4.model import (
     GridState,
     Point4,
     SystemParams,
-    reaction_fields,
     stationary_solution,
 )
 from b4.solver import (
@@ -40,6 +39,7 @@ from b4.solver import (
     simulate,
     stability_limit,
 )
+from test_model import pair_rates
 
 
 def reference_reaction(u, v, w, z, p):
@@ -243,7 +243,7 @@ def test_stacked_reaction_is_bit_equal_to_the_per_field_formula(params, shape, s
     fields = data.draw(arrays(np.float64, (4, *(shape or ())), elements=values)) * scale
     u, v, w, z = fields.tolist() if shape is None else fields
     want = reference_reaction(u, v, w, z, params)
-    (f, h), (g, k) = reaction_fields((u, w), (v, z), params)
+    (f, h), (g, k) = pair_rates((u, w), (v, z), params)
     assert np.shape(f) == np.shape(u)
     assert np.array([f, g, h, k]).tobytes() == np.array(want).tobytes()
 

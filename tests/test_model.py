@@ -7,11 +7,22 @@ from b4.model import (
     GridState,
     Point4,
     SystemParams,
+    reaction_buffers,
     reaction_fields,
     stationary_solution,
     validate_params,
 )
 from b4.solver import initial_condition
+
+
+def pair_rates(activators, inhibitors, params):
+    """((f, h), (g, k)) of ``reaction_fields`` at the stacks (u, w) and (v, z),
+    given as pairs of scalars or of arrays of one shape, with the buffers
+    the solver builds for them."""
+    x, y = np.asarray(activators, dtype=float), np.asarray(inhibitors, dtype=float)
+    shape = (4, *np.broadcast_shapes(x.shape, y.shape)[1:])
+    rates, work = np.empty(shape), np.empty(shape)
+    return reaction_fields(x, y, reaction_buffers(x, y, rates, work, params))
 
 
 def random_params(rng):
@@ -34,7 +45,7 @@ def test_stationary_point_is_a_zero_of_the_reaction():
     for _ in range(50):
         p = random_params(rng)
         u, v, w, z = stationary_solution(p).as_tuple()
-        (f, h), (g, k) = reaction_fields((u, w), (v, z), p)
+        (f, h), (g, k) = pair_rates((u, w), (v, z), p)
         assert max(abs(x) for x in (f, g, h, k)) <= 1e-14
 
 
@@ -58,7 +69,7 @@ def test_stationary_solution_values():
 
 def test_reaction_at_origin_reduces_to_feed_rate():
     p = SystemParams(alpha=2.0)
-    (f, h), (g, k) = reaction_fields((0.0, 0.0), (0.0, 0.0), p)
+    (f, h), (g, k) = pair_rates((0.0, 0.0), (0.0, 0.0), p)
     assert (f, g, h, k) == (2.0, 0.0, 2.0, 0.0)
 
 
@@ -66,7 +77,7 @@ def test_reaction_hand_computed_at_unit_state():
     # alpha=2, beta=5.5, all four fields equal one: the cross terms
     # D_i*(other - own) vanish, leaving f = 2 - 6.5 + 1 and g = 5.5 - 1.
     p = SystemParams()
-    (f, h), (g, k) = reaction_fields((1.0, 1.0), (1.0, 1.0), p)
+    (f, h), (g, k) = pair_rates((1.0, 1.0), (1.0, 1.0), p)
     assert (f, g, h, k) == pytest.approx((-3.5, 4.5, -3.5, 4.5), abs=1e-15)
 
 
@@ -76,7 +87,7 @@ def test_pair_sums_cancel_cubic_terms():
     for _ in range(200):
         p = random_params(rng)
         u, v, w, z = rng.uniform(-3, 3, 4)
-        (f, h), (g, k) = reaction_fields((u, w), (v, z), p)
+        (f, h), (g, k) = pair_rates((u, w), (v, z), p)
         fg = p.alpha - u + p.D1 * (w - u) + p.D2 * (z - v)
         hk = p.alpha - w + p.D3 * (u - w) + p.D4 * (v - z)
         assert f + g == pytest.approx(fg, abs=1e-11)
@@ -90,10 +101,10 @@ def test_rates_nonnegative_on_boundary_faces():
     for _ in range(300):
         p = random_params(rng)
         s, t, q = rng.uniform(0, 5, 3)
-        (f, _), _ = reaction_fields((0.0, t), (s, q), p)
-        _, (g, _) = reaction_fields((s, t), (0.0, q), p)
-        (_, h), _ = reaction_fields((s, 0.0), (t, q), p)
-        _, (_, k) = reaction_fields((s, q), (t, 0.0), p)
+        (f, _), _ = pair_rates((0.0, t), (s, q), p)
+        _, (g, _) = pair_rates((s, t), (0.0, q), p)
+        (_, h), _ = pair_rates((s, 0.0), (t, q), p)
+        _, (_, k) = pair_rates((s, q), (t, 0.0), p)
         assert f >= 0 and g >= 0 and h >= 0 and k >= 0
 
 

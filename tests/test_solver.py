@@ -11,22 +11,32 @@ from b4.model import (
     GridState,
     Point4,
     SystemParams,
-    reaction_fields,
     stationary_solution,
 )
 from b4.solver import (
     BlowUpError,
     SolverConfig,
+    _advance,
+    _state_like,
+    _Stencil,
     initial_condition,
     laplacian,
     load_checkpoint,
     save_checkpoint,
     simulate,
     stability_limit,
-    step,
 )
+from test_model import pair_rates
 
 TABLE_PARAMS = SystemParams()
+
+
+def step(state, params, dt):
+    """One explicit step of the solver's kernel; all four fields update
+    from the same state."""
+    stencil = _Stencil(state.data, state.dx, state.dy, state.bc, params)
+    _advance(stencil, dt, 1)
+    return _state_like(state, stencil)
 
 
 def uniform_state(values, nx=5, ny=5, dx=1.0, dy=1.0, bc=BC_NEUMANN):
@@ -132,7 +142,7 @@ def test_step_zero_diffusivities_is_pointwise_euler():
     state = GridState(4, 3, 1.0, 1.0, *fields)
     dt = 0.01
     out = step(state, params, dt)
-    (f, h), (g, k) = reaction_fields(fields[[0, 2]], fields[[1, 3]], params)
+    (f, h), (g, k) = pair_rates(fields[[0, 2]], fields[[1, 3]], params)
     assert np.array_equal(out.u, fields[0] + dt * f)
     assert np.array_equal(out.v, fields[1] + dt * g)
     assert np.array_equal(out.w, fields[2] + dt * h)
@@ -163,7 +173,7 @@ def test_step_dirichlet_boundary_coupling():
     state = uniform_state((c0, c0, c0, c0), nx=3, ny=3, bc=BC_DIRICHLET0)
     dt = 1e-3
     out = step(state, params, dt)
-    (f, _), _ = reaction_fields((c0, c0), (c0, c0), params)
+    (f, _), _ = pair_rates((c0, c0), (c0, c0), params)
     assert out.u[1, 1] == pytest.approx(c0 + dt * float(f), rel=1e-13)
     corner_lap = -c0 / 1.0 - c0 / 1.0
     assert out.u[0, 0] == pytest.approx(c0 + dt * (0.5 * corner_lap + float(f)), rel=1e-13)

@@ -1,8 +1,11 @@
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from b4 import tsa
 from b4.tsa import (
     AnalysisConfig,
     DimensionReport,
@@ -112,10 +115,10 @@ def test_svd_reduce_rank_one():
 
 def test_svd_reduce_sine_plane():
     e = embed(sine_series(3000, period=50.0), 10, 5, 1)
-    coords, kept, sigma = svd_reduce(e, 1e-2)
+    coords, kept, sigma = svd_reduce(e.rows, 1e-2)
     assert kept == 2
     # threshold zero keeps the numerical rank, still two for a sinusoid
-    _, kept0, _ = svd_reduce(e, 0.0)
+    _, kept0, _ = svd_reduce(e.rows, 0.0)
     assert kept0 == 2
 
 
@@ -241,8 +244,8 @@ def test_correlation_dimension_needs_positive_values():
 
 
 def test_albano_dimension_sine():
-    cfg = AnalysisConfig(max_points=1500)
-    report = albano_dimension(sine_series(4000), cfg)
+    with mock.patch.object(tsa, "MAX_POINTS", 1500):
+        report = albano_dimension(sine_series(4000))
     assert isinstance(report, DimensionReport)
     assert report.tau == 20
     assert report.d == pytest.approx(1.0, abs=0.2)
@@ -261,7 +264,7 @@ def test_albano_dimension_white_noise_stays_high():
     x = rng.standard_normal(2500)
 
     def estimate(m):
-        coords, _, _ = svd_reduce(embed(x, m, 1, 2), 1e-2)
+        coords, _, _ = svd_reduce(embed(x, m, 1, 2).rows, 1e-2)
         sub = coords[:: max(1, len(coords) // 400)]
         gaps = np.max(np.abs(sub[:, None, :] - sub[None, :, :]), axis=2)
         gaps = gaps[np.triu_indices(len(sub), 1)]
@@ -273,7 +276,8 @@ def test_albano_dimension_white_noise_stays_high():
     d3, d6, d9 = estimate(3), estimate(6), estimate(9)
     assert d3 < d6 < d9
 
-    report = albano_dimension(x, AnalysisConfig(max_points=1200, m_max=40))
+    with mock.patch.object(tsa, "MAX_POINTS", 1200):
+        report = albano_dimension(x, AnalysisConfig(m_max=40))
     assert report.d > 4.0
 
 
