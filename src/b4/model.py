@@ -126,7 +126,7 @@ def validate_params(params):
     return bad
 
 
-def reaction_buffers(activators, inhibitors, rates, work, params):
+def reaction_buffers(activators, inhibitors, rates, work, params, layout):
     """Everything a ``reaction_fields`` pass over these stacks reads or
     writes besides the stacks, so a pass that gets it slices nothing.
 
@@ -134,18 +134,23 @@ def reaction_buffers(activators, inhibitors, rates, work, params):
     shape: the rates go into ``rates`` in role order (f, h, g, k), and
     ``work`` is scratch.  The constants of ``params`` are held in the
     form ufuncs take fastest: alpha, beta and beta + 1 as 0-d arrays,
-    and the exchange rates as the column (D1, D3, D2, D4), the coupling
-    rate of each block in role order.  The partner differences are taken
-    one block at a time, as (partner, own, difference) views: a reversed
-    stack would cost each ufunc call an iterator, which on small grids
-    costs more than the two extra calls.
+    and the exchange rates as ``layout`` of the column (D1, D3, D2, D4),
+    the coupling rate of each block in role order, shaped (4, 1, ...) to
+    broadcast against ``work``: the column itself, or an array of
+    ``work``'s shape, which small arrays multiply faster.  The caller
+    picks the layout, since it depends on how the arrays are used.  The
+    partner differences are taken one block at a time, as (partner, own,
+    difference) views: a reversed stack would cost each ufunc call an
+    iterator, which on small grids costs more than the two extra calls.
     """
     constants = SimpleNamespace(
         alpha=np.array(params.alpha),
         beta=np.array(params.beta),
         beta_1=np.array(params.beta + 1.0),
-        coupling=np.reshape(
-            (params.D1, params.D3, params.D2, params.D4), (4,) + (1,) * (rates.ndim - 1)
+        coupling=layout(
+            np.reshape(
+                (params.D1, params.D3, params.D2, params.D4), (4,) + (1,) * (rates.ndim - 1)
+            )
         ),
     )
     x_diff, y_diff = work[:2], work[2:]

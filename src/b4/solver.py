@@ -15,12 +15,17 @@ rows of all four blocks, about STEP_BLOCK entries of each, so that a
 large grid's passes stay in cache.  A chunk's increment is added one
 chunk late, once the next chunk, which reads one row into it, has read
 the old state.  A small grid is one chunk, one flat span over all four
-fields.  The padding is reset after every update, and the blow-up check
-sees only interior values, their mirrors and zeros.  Every operation is
-elementwise and keeps its operand order (the Laplacian sums onto zero,
-x before y), so values are those of differencing each field on its own,
-bit for bit, whatever the chunks.  Everything outside ``_Stencil`` sees
-the fields in (u, v, w, z) order.
+fields, and its per-block constants are full blocks, since ufunc calls
+on small arrays take a broadcast column slower than a full operand; a
+large grid's chunks keep the columns, which stay in cache.  The padding
+is reset after every update.  The blow-up check is one dot product of
+each updated span with itself, which bounds every magnitude in it;
+only a span whose bound is not clearly below BLOWUP_LIMIT is checked
+node by node, and that check sees only interior values.  Every
+operation is elementwise and keeps its operand order (the Laplacian
+sums onto zero, x before y), so values are those of differencing each
+field on its own, bit for bit, whatever the chunks.  Everything outside
+``_Stencil`` sees the fields in (u, v, w, z) order.
 """
 
 import contextlib
@@ -45,6 +50,15 @@ from .model import (
 
 BLOWUP_LIMIT = 1e12
 STEP_BLOCK = 8192  # about the entries of each block that one chunk of a step covers
+
+# A span passes the blow-up precheck when the root of its sum of squares
+# is at most BLOWUP_LIMIT less this fraction of it.  The sum of n squares
+# is off by at most n * 2**-53 of itself, under 1e-9 for any span that
+# fits in memory, so a root that passes bounds every magnitude in the
+# span.  Squares below 2**-1000 may lose their digits to underflow, so a
+# limit below 2**-500 gets no precheck.
+_PRECHECK_MARGIN = 1e-6
+_PRECHECK_FLOOR = 2.0**-500
 
 _CHECKPOINT_MAGIC = b"B4CK"
 _CHECKPOINT_VERSION = 1
@@ -121,14 +135,16 @@ class _Chunk:
 
     ``state`` is the chunk's nodes in the buffer.  ``lap`` gets their
     Laplacian, then their increment; ``blocks`` is the same memory as
-    (4, ...) blocks, for the diffusivity column.  ``twice`` and ``pair``
-    are the scratch of the Laplacian, and the reaction writes its rates
-    into ``twice``.  ``axes`` holds (ahead, behind, h^2) for each
-    direction of extent above one, ``reaction`` the arguments of the
-    chunk's ``reaction_fields`` pass (None without params), and
-    ``peak`` what the blow-up check reads: the nodes, the array their
-    magnitudes go into and that array as one flat run.  ``rows`` are the
-    field rows the chunk holds and ``lap_nodes`` their nodes in ``lap``.
+    (4, ...) blocks, for the diffusivities.  ``twice`` and ``pair`` are
+    the scratch of the Laplacian, and the reaction writes its rates into
+    ``twice``.  ``axes`` holds (ahead, behind, h^2) for each direction
+    of extent above one, ``reaction`` the arguments of the chunk's
+    ``reaction_fields`` pass (None without params), and ``peak`` what
+    the blow-up check reads: the contiguous spans that hold the updated
+    nodes, whose sums of squares the precheck takes, then the nodes
+    alone, the array their magnitudes go into and that array as one flat
+    run.  ``rows`` are the field rows the chunk holds and ``lap_nodes``
+    their nodes in ``lap``.
     """
 
     state: np.ndarray
@@ -164,17 +180,24 @@ class _Stencil:
     inside it; ``refresh`` restores them, so that every padding cell
     holds zero or a copy of an interior value.
 
+    Block size also sets the layout of the per-block constants, here and
+    only here: a lone chunk multiplies by full (4, P) arrays, which its
+    small ufunc calls take faster than a broadcast (4, 1) column, while
+    the chunks of a longer block keep the columns, which stay in cache
+    (full arrays made the 200x200 step 9-16 % slower).
+
     The Laplacian sums each direction's scaled second difference onto
     zero, x before y, in the operation order of padding each field and
     differencing it axis by axis, so the result is that one bit for bit
     (signed zeros included).  Given ``params``, the stencil also holds
-    ``diffusivities``, the column (a, c, b, d), one per block in role
-    order, and each chunk the ``reaction_buffers`` of its rows.  The
-    chunks' scratch is four arrays of one chunk's size, made here, once:
-    two increments, used in turn, and the Laplacian's two.  ``record``
-    has its own array, as long as the fields.  Ufuncs get their outputs
-    positionally and constants as 0-d arrays: either is cheaper per call
-    than the alternative.
+    ``diffusivities``, (a, c, b, d), one per block in role order, in
+    that layout, and each chunk the ``reaction_buffers`` of its rows,
+    whose exchange rates take it too.  The chunks' scratch is four
+    arrays of one chunk's size, made here, once: two increments, used in
+    turn, and the Laplacian's two.  ``record`` has its own array, as
+    long as the fields.  Ufuncs get their outputs positionally and
+    constants as 0-d arrays: either is cheaper per call than the
+    alternative.
     """
 
     def __init__(self, data, dx, dy, bc, params=None):
@@ -188,14 +211,20 @@ class _Stencil:
         grid = self.buffer.reshape(4, nx + 2 * gx, row)
         self.fields = grid[:, gx : gx + nx, gy : gy + ny]
         self.fields[...] = _swap_roles(data)
-        if params is not None:
-            self.diffusivities = np.array([[params.a], [params.c], [params.b], [params.d]])
         self._two, self._zero = np.array(2.0), np.array(0.0)
         self._record = np.empty(4 * nx * ny)
 
         # The chunks as ranges of padded rows: the whole block, or the
         # interior rows split as evenly as whole rows allow.
         count = 1 if size <= STEP_BLOCK else -(-nx // max(STEP_BLOCK // row, 1))
+
+        def per_block(column):
+            return np.repeat(column, size, axis=1) if count == 1 else column
+
+        if params is not None:
+            self.diffusivities = per_block(
+                np.array([[params.a], [params.c], [params.b], [params.d]])
+            )
         if count == 1:
             ranges = [(0, nx + 2 * gx)]
         else:
@@ -220,18 +249,22 @@ class _Stencil:
                 base, lo = self.buffer, gx * row + gy
                 hi = base.size - lo
                 state, lap, rates, work = (a.reshape(-1)[lo:hi] for a in whole)
-                peak = (state, lap, lap)
+                peak = ((state,), state, lap, lap)
             else:
-                # The nodes alone, into the front of the spent increment.
+                # Each block's run from the chunk's first node to its
+                # last, with stale padding between rows; then the nodes
+                # alone, into the front of the spent increment.
                 base = blocks
                 state, lap, rates, work = whole
                 flat = incs[j % 2].reshape(-1)[: 4 * (n1 - n0) * ny]
-                peak = (self.fields[:, rows], flat.reshape(4, n1 - n0, ny), flat)
+                spans = tuple(blocks[:, n0 * row + gy : (n1 - 1) * row + gy + ny])
+                peak = (spans, self.fields[:, rows], flat.reshape(4, n1 - n0, ny), flat)
             lap_nodes = whole[1].reshape(4, r1 - r0, row)[:, n0 - r0 : n1 - r0, gy : gy + ny]
             reaction = None
             if params is not None:
                 x, y = whole[0][:2], whole[0][2:]
-                reaction = (x, y, reaction_buffers(x, y, whole[2], whole[3], params))
+                buffers = reaction_buffers(x, y, whole[2], whole[3], params, per_block)
+                reaction = (x, y, buffers)
             self.chunks.append(
                 _Chunk(
                     state=state,
@@ -365,26 +398,30 @@ def stability_limit(params, state):
 def _advance(stencil, dt, k):
     """Step k of forward Euler, in place on the stencil's buffer.
 
-    The stencil must have been built with the run's params.  All four
-    fields update from the same state, one chunk at a time: the chunk's
-    Laplacian, each block times its diffusivity, plus the reaction
-    rates of both pairs from one ``reaction_fields`` pass, times dt, go
-    into the chunk's increment.  Then the chunk before it gets its
-    increment added: a chunk reads one row past each end, so the rows
-    before it must still hold the old state when its increment is made,
-    and this lag of one chunk is enough.  The two increment arrays
-    alternate, so the one that waits is never overwritten.  Every value
-    is the same elementwise expression of the old state as in one pass
-    over whole blocks, so the chunk size never changes a bit.
+    The stencil must have been built with the run's params; ``dt`` is a
+    float or, cheaper per ufunc call, a 0-d array.  All four fields
+    update from the same state, one chunk at a time: the chunk's
+    Laplacian, each block times its diffusivity, plus the reaction rates
+    of both pairs from one ``reaction_fields`` pass, times dt, go into
+    the chunk's increment.  Then the chunk before it gets its increment
+    added: a chunk reads one row past each end, so the rows before it
+    must still hold the old state when its increment is made, and this
+    lag of one chunk is enough.  The two increment arrays alternate, so
+    the one that waits is never overwritten.  Every value is the same
+    elementwise expression of the old state as in one pass over whole
+    blocks, so the chunk size never changes a bit.
 
     Each chunk's nodes are checked for blow-up as soon as they hold the
-    new state, while they are in cache.  ``refresh`` resets the padding
-    once, before the last chunk's check, so a lone chunk's check may
-    take its flat span: it holds only nodes, their copies and zeros.  A
-    NaN anywhere, or a magnitude above BLOWUP_LIMIT, raises BlowUpError
-    once the whole step is taken.  Every operand is a view the stencil
-    built, so nothing is sliced or allocated.
+    new state, while they are in cache (``_in_range``).  ``refresh``
+    resets the padding once, before the last chunk's check, so a lone
+    chunk's check may take its flat span: it holds only nodes, their
+    copies and zeros.  A NaN anywhere, or a magnitude above
+    BLOWUP_LIMIT, read at every call, raises BlowUpError once the whole
+    step is taken.  Every operand is a view the stencil built, so
+    nothing is sliced or allocated.
     """
+    limit = BLOWUP_LIMIT
+    bound = limit * (1.0 - _PRECHECK_MARGIN) if limit >= _PRECHECK_FLOOR else -1.0
     column, in_range, behind = stencil.diffusivities, True, None
     for chunk in stencil.chunks:
         lap = stencil.laplacian(chunk)
@@ -394,26 +431,42 @@ def _advance(stencil, dt, k):
         np.multiply(lap, dt, lap)
         if behind is not None:
             np.add(behind.state, behind.lap, behind.state)
-            nodes, magnitudes, flat = behind.peak
-            np.abs(nodes, magnitudes)
-            in_range &= float(np.maximum.reduce(flat)) <= BLOWUP_LIMIT
+            in_range &= _in_range(behind.peak, bound, limit)
         behind = chunk
     np.add(behind.state, behind.lap, behind.state)
     stencil.refresh()
-    nodes, magnitudes, flat = behind.peak
-    np.abs(nodes, magnitudes)
-    in_range &= float(np.maximum.reduce(flat)) <= BLOWUP_LIMIT
+    in_range &= _in_range(behind.peak, bound, limit)
     if not in_range:
+        t = k * float(dt)
         maxima = _swap_roles([float(np.max(np.abs(f))) for f in stencil.fields])
         peak = float(np.max(maxima))
         raise BlowUpError(
-            f"blow-up at t={k * dt:g} (step {k}): max |field| = {peak:.3e}, "
+            f"blow-up at t={t:g} (step {k}): max |field| = {peak:.3e}, "
             f"per-field maxima {maxima}",
-            t=k * dt,
+            t=t,
             step_index=k,
             max_abs=peak,
             field_maxima=maxima,
         )
+
+
+def _in_range(peak, bound, limit):
+    """Whether no node of a chunk's ``peak`` is NaN or above limit in magnitude.
+
+    The precheck: the root of a span's sum of squares bounds every
+    magnitude in it, so a root of at most ``bound`` passes the chunk.
+    Any other total (a NaN or an infinity, a sum that overflows, stale
+    padding that is large, a bound of -1) leaves the answer to the exact
+    check of the nodes alone.
+    """
+    spans, nodes, magnitudes, flat = peak
+    total = 0.0
+    for span in spans:
+        total += np.dot(span, span)
+    if math.sqrt(total) <= bound:
+        return True
+    np.abs(nodes, magnitudes)
+    return float(np.maximum.reduce(flat)) <= limit
 
 
 def _state_like(state, stencil):
@@ -451,10 +504,11 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
 
     dx, dy = state0.dx, state0.dy
     stencil = _Stencil(state0.data, dx, dy, state0.bc, params)
+    dt = np.array(cfg.dt)
     records = []
     for k in range(step_offset, total_steps + 1):
         if k > step_offset:
-            _advance(stencil, cfg.dt, k)
+            _advance(stencil, dt, k)
         elif k:
             # The run that stopped at step_offset has emitted this step.
             continue

@@ -132,6 +132,13 @@ def _any_unstable(base, ramp, mus):
     return np.linalg.eigvals(stack).real.max(axis=1) > 0.0
 
 
+def _sorted_distinct(values):
+    """np.unique of values without NaN: a sort, then the first of each run
+    of equal values.  np.unique would import numpy.ma on every call."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+
+
 def unstable_mode_count(params, Lx, Ly, max_modes):
     """Counts of unstable modes among the first max_modes eigenvalues.
 
@@ -160,7 +167,7 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
     # finder splits into a complex pair still bounds a piece.
     top = 2.0 * mus[-1] + 1.0
     edges = np.concatenate([p.roots() for p in (c1, c3, c4, hurwitz)]).real
-    cuts = np.unique(np.concatenate(([0.0], edges[(edges > 0.0) & (edges < top)], [top])))
+    cuts = _sorted_distinct(np.concatenate(([0.0], edges[(edges > 0.0) & (edges < top)], [top])))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     piece = np.searchsorted(cuts, mus, side="right") - 1
     unstable = _any_unstable(base, ramp, mids)[piece]

@@ -271,12 +271,11 @@ def correlation_dimension(radii, C):
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
         return slope, r2
 
+    distinct = _distinct_counts(y.tolist())
     best = None
     for i in range(n - 4):
         for j in range(i + 4, n):
-            if x[j] - x[i] < min_span:
-                continue
-            if np.unique(y[i : j + 1]).size < 4:
+            if x[j] - x[i] < min_span or distinct[i][j] < 4:
                 continue
             slope, r2 = fit(i, j)
             if best is None or r2 > best[1]:
@@ -288,14 +287,37 @@ def correlation_dimension(radii, C):
     return ScalingFit(max(slope, 0.0), region, r2, r2 < 0.95)
 
 
+def _distinct_counts(values):
+    """counts[i][j], the number of distinct values in values[i : j + 1]
+    (0 for j < i), for a list of floats without NaN: np.unique's count,
+    taken for all windows at once."""
+    counts = []
+    for i in range(len(values)):
+        seen, row = set(), [0] * i
+        for value in values[i:]:
+            seen.add(value)
+            row.append(len(seen))
+        counts.append(row)
+    return counts
+
+
+def _even_indices(n, k):
+    """k indices spread evenly over range(n), in order, without repeats:
+    np.unique of the truncated linspace, which is sorted already."""
+    idx = np.linspace(0, n - 1, k).astype(int)
+    return np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]]))
+
+
 def radii_grid(points):
     """Log-spaced radii between pair-distance percentiles (max norm)."""
     M = points.shape[0]
     k = min(M, PERCENTILE_SAMPLE)
-    idx = np.unique(np.linspace(0, M - 1, k).astype(int))
+    idx = _even_indices(M, k)
     sub = np.ascontiguousarray(points[idx].T)
     d = _max_distances(sub, slice(None), slice(None))
-    pairwise = d[np.triu_indices(idx.size, 1)]
+    # The pairs above the diagonal, in the order of np.triu_indices,
+    # through a boolean mask: an eighth of the memory of its index arrays.
+    pairwise = d[~np.tri(idx.size, dtype=bool)]
     pairwise = pairwise[pairwise > 0]
     if pairwise.size == 0:
         raise ValueError("all sampled points coincide; no radius scale")
@@ -404,7 +426,7 @@ def largest_lyapunov(embedding, sample_interval=1.0, theiler=None):
     kmax = min(LYAP_MAX_STEPS, M // 4)
     limit = M - kmax
     n_refs = min(limit, LYAP_MAX_REFS)
-    refs = np.unique(np.linspace(0, limit - 1, n_refs).astype(int))
+    refs = _even_indices(limit, n_refs)
     # Periodic signals revisit states to within rounding noise; pairing
     # with such near-duplicates would track arithmetic noise instead of
     # dynamics, so neighbors closer than a sliver of the attractor

@@ -10,6 +10,7 @@ make it, so the blow-up check never sees a value the fields do not hold.
 That holds for any chunking of the step: ``STEP_BLOCK`` sets speed only.
 """
 
+import contextlib
 import math
 from dataclasses import astuple
 from types import SimpleNamespace
@@ -372,9 +373,129 @@ def test_a_small_block_is_one_chunk_of_contiguous_views(nx, ny):
     found = arrays_in(views)
     assert len(found) > 20
     assert all(a.flags.c_contiguous for a in found)
+    # Nor does any ufunc call or dot of a step broadcast an operand, as a
+    # (4, 1) column would; 0-d constants are scalars.
+    shapes = []
+
+    def spy(real):
+        def call(*args):
+            shapes.append({np.shape(a) for a in args if np.ndim(a) > 0})
+            return real(*args)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in ("multiply", "add", "subtract", "divide", "abs", "dot"):
+            stack.enter_context(mock.patch.object(np, name, spy(getattr(np, name))))
+        _advance(stencil, np.array(0.01), 1)
+    assert len(shapes) > 15
+    assert all(len(call) == 1 for call in shapes), shapes
 
 
 def test_a_large_block_is_several_chunks():
     stencil = _Stencil(np.ones((4, 200, 200)), 1.0, 1.0, BC_DIRICHLET0, SystemParams())
     assert len(stencil.chunks) > 1
     assert all(c.state.shape[1] <= solver.STEP_BLOCK for c in stencil.chunks)
+    # Full-size constants made the 200x200 step slower: its chunks
+    # multiply by the (4, 1) columns and hold no constant of a block's size.
+    assert stencil.diffusivities.shape == (4, 1)
+    for chunk in stencil.chunks:
+        constants = chunk.reaction[2][0]
+        assert constants.coupling.shape == (4, 1)
+        assert all(a.size <= 4 for a in arrays_in(constants))
+
+
+def step_both(data, dx, dy, bc, params, dt):
+    """The kernel's and the reference's first step from data, as blow-up
+    messages, and the two stencils."""
+    old = ReferenceStencil(data, dx, dy, bc)
+    new = _Stencil(data, dx, dy, bc, params)
+    with np.errstate(all="ignore"):
+        want = blow_up_message(lambda: reference_advance(old, params, dt, 1))
+        got = blow_up_message(lambda: _advance(new, dt, 1))
+    return got, want, new, old
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (200, 200)])
+@pytest.mark.parametrize("square", ["overflows", "underflows"])
+def test_a_limit_whose_square_overflows_or_underflows_is_checked_exactly(nx, ny, square):
+    # Overflow: u^2 v = 1e212 in one step, a finite peak whose square, and
+    # the limit's, overflow.  Underflow: every value near 1e-200, whose
+    # square is zero.  A limit squared, or a sum of squares taken as
+    # passing, would miss the float just below the peak.
+    if square == "overflows":
+        params = SystemParams()
+        data = np.ones((4, nx, ny))
+        data[0], data[1] = 1e100, 1e12
+    else:
+        params = SystemParams(alpha=1e-300)
+        data = np.full((4, nx, ny), 1e-200)
+    dt = 0.1
+    peak = next_peak(ReferenceStencil(data, 1.0, 1.0, BC_NEUMANN), params, dt, 1, 1.0, 1.0, BC_NEUMANN)
+    assert (1e154 < peak < math.inf) if square == "overflows" else (0 < peak < 1e-154)
+    for limit, raises in ((peak, False), (np.nextafter(peak, -math.inf), True)):
+        with mock.patch.object(solver, "BLOWUP_LIMIT", limit):
+            got, want, new, old = step_both(data, 1.0, 1.0, BC_NEUMANN, params, dt)
+        assert got == want
+        assert (got is not None) == raises
+        assert in_field_order(new).tobytes() == old.fields.tobytes()
+
+
+@pytest.mark.parametrize("nx, ny", [(12, 9), (200, 200)])
+@pytest.mark.parametrize("case", ["negative limit", "nan node"])
+def test_a_negative_limit_or_a_nan_node_raises_as_the_reference(nx, ny, case):
+    params = SystemParams(a=0.05, b=0.1, c=0.15, d=0.2)
+    rng = np.random.default_rng(3)
+    data = rng.uniform(0.5, 3.0, (4, nx, ny))
+    limit = -1.0 if case == "negative limit" else solver.BLOWUP_LIMIT
+    if case == "nan node":
+        data[2, nx // 2, ny - 1] = math.nan
+    dt = stability_limit(params, GridState(nx, ny, 1.0, 1.0, *data))
+    with mock.patch.object(solver, "BLOWUP_LIMIT", limit):
+        got, want, new, old = step_both(data, 1.0, 1.0, BC_NEUMANN, params, dt)
+    assert want is not None
+    assert got == want
+
+
+def test_a_sum_of_squares_above_the_limit_squared_does_not_raise():
+    # Every node is at most the limit, so the step passes, though the
+    # root of the sum of squares is far above the limit.
+    params = SystemParams()
+    rng = np.random.default_rng(4)
+    base = np.array(stationary_solution(params).as_tuple()).reshape(4, 1, 1)
+    data = base * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, (4, 200, 1)))
+    dt = 0.01
+    peak = next_peak(ReferenceStencil(data, 1.0, 1.0, BC_NEUMANN), params, dt, 1, 1.0, 1.0, BC_NEUMANN)
+    with mock.patch.object(solver, "BLOWUP_LIMIT", peak):
+        got, want, new, old = step_both(data, 1.0, 1.0, BC_NEUMANN, params, dt)
+    assert got is want is None
+    assert math.sqrt(float(np.sum(new.fields**2))) > 10 * peak
+    assert in_field_order(new).tobytes() == old.fields.tobytes()
+
+
+def test_stale_padding_that_trips_the_precheck_leaves_the_answer_to_the_exact_check():
+    # A ramp across each row, diffused hard: the ghost cells inside each
+    # chunk's spans take stale sums near 1e12 before ``refresh``, while
+    # every node stays near 1e10.  The chunks checked before ``refresh``
+    # fall back to the node by node check, which passes.
+    params = SystemParams(a=1e6)
+    data = np.zeros((4, 200, 200))
+    data[0] = np.linspace(0.0, 1e8, 200)
+    old = ReferenceStencil(data, 1.0, 1.0, BC_NEUMANN)
+    new = _Stencil(data, 1.0, 1.0, BC_NEUMANN, params)
+    assert blow_up_message(lambda: reference_advance(old, params, 1e-2, 1)) is None
+    exact = []
+
+    def spy(nodes, magnitudes):
+        exact.append(nodes.shape)
+        return np.absolute(nodes, magnitudes)
+
+    with mock.patch.object(np, "abs", spy):
+        _advance(new, 1e-2, 1)
+    assert in_field_order(new).tobytes() == old.fields.tobytes()
+    assert len(new.chunks) == 5 and len(exact) == 4
+    bound = solver.BLOWUP_LIMIT * (1.0 - solver._PRECHECK_MARGIN)
+    for chunk in new.chunks:
+        # The nodes alone would have passed the precheck.
+        nodes = new.fields[:, chunk.rows]
+        assert math.sqrt(float(np.sum(nodes * nodes))) <= bound

@@ -22,7 +22,7 @@ def pair_rates(activators, inhibitors, params):
     x, y = np.asarray(activators, dtype=float), np.asarray(inhibitors, dtype=float)
     shape = (4, *np.broadcast_shapes(x.shape, y.shape)[1:])
     rates, work = np.empty(shape), np.empty(shape)
-    return reaction_fields(x, y, reaction_buffers(x, y, rates, work, params))
+    return reaction_fields(x, y, reaction_buffers(x, y, rates, work, params, lambda c: c))
 
 
 def random_params(rng):

@@ -229,7 +229,7 @@ def test_simulate_blowup_diagnostics():
         simulate(state, TABLE_PARAMS, SolverConfig(dt=1.0 / 24.0, t_end=1.0))
     err = info.value
     assert err.step_index == 1
-    assert err.t == pytest.approx(1.0 / 24.0)
+    assert err.t == pytest.approx(1.0 / 24.0) and type(err.t) is float
     assert err.max_abs > 1e12
     assert len(err.field_maxima) == 4
 

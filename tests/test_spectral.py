@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from b4 import spectral
 from b4.model import SystemParams
 from b4.spectral import (
     BoundReport,
@@ -238,3 +242,18 @@ def test_extract_kprime():
         extract_Kprime(1.0, SystemParams(beta=1.0), N=2)
     with pytest.raises(ValueError):
         extract_Kprime(1.0, NINE_PARAMS, N=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=arrays(
+        np.float64,
+        st.integers(0, 60),
+        elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.5, math.inf, -math.inf]), st.floats(allow_nan=False)
+        ),
+    )
+)
+def test_sorted_distinct_is_np_unique(values):
+    # Bytes, so the zero kept of a run of 0.0 and -0.0 must match too.
+    assert spectral._sorted_distinct(values).tobytes() == np.unique(values).tobytes()

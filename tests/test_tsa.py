@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b4 import tsa
 from b4.tsa import (
@@ -338,3 +340,61 @@ def test_largest_lyapunov_guards():
     for bad in ({"sample_interval": 0.0}, {"theiler": -5}):
         with pytest.raises(ValueError):
             largest_lyapunov(embed(logistic_series(1000), 2, 1), **bad)
+
+
+# Floats without NaN, with signed zeros, infinities and repeats among them.
+window_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]), st.floats(allow_nan=False)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(window_values, max_size=40))
+def test_window_counts_are_those_of_np_unique(values):
+    counts = tsa._distinct_counts(values)
+    for i in range(len(values)):
+        assert counts[i][:i] == [0] * i
+        for j in range(i, len(values)):
+            assert counts[i][j] == np.unique(np.array(values[i : j + 1])).size
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 100_000), k=st.integers(0, 1500))
+def test_even_indices_are_np_unique_of_the_linspace(n, k):
+    want = np.unique(np.linspace(0, n - 1, k).astype(int))
+    got = tsa._even_indices(n, k)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+def reference_radii_grid(points):
+    """radii_grid as written with np.unique and np.triu_indices."""
+    M = points.shape[0]
+    idx = np.unique(np.linspace(0, M - 1, min(M, tsa.PERCENTILE_SAMPLE)).astype(int))
+    sub = points[idx]
+    d = np.abs(sub[:, None, :] - sub[None, :, :]).max(axis=2)
+    pairwise = d[np.triu_indices(idx.size, 1)]
+    pairwise = pairwise[pairwise > 0]
+    if pairwise.size == 0:
+        raise ValueError("all sampled points coincide; no radius scale")
+    lo = float(np.percentile(pairwise, tsa.R_LO_PERCENTILE))
+    hi = float(np.percentile(pairwise, tsa.R_HI_PERCENTILE))
+    if lo <= 0:
+        lo = float(pairwise.min())
+    if hi <= lo:
+        hi = lo * 10.0
+    return np.geomspace(lo, hi, tsa.RADII_COUNT)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(2, 1500), dims=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_radii_grid_is_that_of_the_index_form(rows, dims, seed):
+    points = np.random.default_rng(seed).normal(size=(rows, dims)).round(1)
+
+    def outcome(radii):
+        try:
+            return radii(points).tobytes()
+        except ValueError as err:
+            return str(err)
+
+    assert outcome(tsa.radii_grid) == outcome(reference_radii_grid)
