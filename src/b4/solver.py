@@ -18,10 +18,10 @@ the old state.  A small grid is one chunk, one flat span over all four
 fields, and its per-block constants are full blocks, since ufunc calls
 on small arrays take a broadcast column slower than a full operand; a
 large grid's chunks keep the columns, which stay in cache.  The padding
-is reset after every update.  The blow-up check is one dot product of
-each updated span with itself, which bounds every magnitude in it;
-only a span whose bound is not clearly below BLOWUP_LIMIT is checked
-node by node, and that check sees only interior values.  Every
+is reset after every step, and then the blow-up check takes one dot
+product of the whole buffer with itself: every padding cell holds zero
+or a copy of a node, so its root bounds every node.  Only a step whose
+bound is not clearly below BLOWUP_LIMIT is checked node by node.  Every
 operation is elementwise and keeps its operand order (the Laplacian
 sums onto zero, x before y), so values are those of differencing each
 field on its own, bit for bit, whatever the chunks.  Everything outside
@@ -51,12 +51,12 @@ from .model import (
 BLOWUP_LIMIT = 1e12
 STEP_BLOCK = 8192  # about the entries of each block that one chunk of a step covers
 
-# A span passes the blow-up precheck when the root of its sum of squares
-# is at most BLOWUP_LIMIT less this fraction of it.  The sum of n squares
-# is off by at most n * 2**-53 of itself, under 1e-9 for any span that
-# fits in memory, so a root that passes bounds every magnitude in the
-# span.  Squares below 2**-1000 may lose their digits to underflow, so a
-# limit below 2**-500 gets no precheck.
+# A step passes the blow-up precheck when the root of the buffer's sum of
+# squares is at most BLOWUP_LIMIT less this fraction of it.  The sum of n
+# squares is off by at most n * 2**-53 of itself, under 1e-9 for any
+# buffer that fits in memory, so a root that passes bounds every
+# magnitude in the buffer.  Squares below 2**-1000 may lose their digits
+# to underflow, so a limit below 2**-500 gets no precheck.
 _PRECHECK_MARGIN = 1e-6
 _PRECHECK_FLOOR = 2.0**-500
 
@@ -137,14 +137,12 @@ class _Chunk:
     Laplacian, then their increment; ``blocks`` is the same memory as
     (4, ...) blocks, for the diffusivities.  ``twice`` and ``pair`` are
     the scratch of the Laplacian, and the reaction writes its rates into
-    ``twice``.  ``axes`` holds (ahead, behind, h^2) for each direction
-    of extent above one, ``reaction`` the arguments of the chunk's
-    ``reaction_fields`` pass (None without params), and ``peak`` what
-    the blow-up check reads: the contiguous spans that hold the updated
-    nodes, whose sums of squares the precheck takes, then the nodes
-    alone, the array their magnitudes go into and that array as one flat
-    run.  ``rows`` are the field rows the chunk holds and ``lap_nodes``
-    their nodes in ``lap``.
+    ``twice``.  ``axes`` holds (ahead, behind, h^2, onto) for each
+    direction of extent above one, where ``onto`` is what the
+    direction's term is added to: a 0-d zero for the first, ``lap``
+    after it.  ``reaction`` holds the arguments of the chunk's
+    ``reaction_fields`` pass (None without params).  ``rows`` are the
+    field rows the chunk holds and ``lap_nodes`` their nodes in ``lap``.
     """
 
     state: np.ndarray
@@ -154,7 +152,6 @@ class _Chunk:
     pair: np.ndarray
     axes: list
     reaction: tuple
-    peak: tuple
     rows: slice
     lap_nodes: np.ndarray
 
@@ -178,7 +175,8 @@ class _Stencil:
     contiguous.  Longer blocks split into chunks of whole interior rows,
     (4, c) views.  A pass over a chunk also writes the padding cells
     inside it; ``refresh`` restores them, so that every padding cell
-    holds zero or a copy of an interior value.
+    holds zero or a copy of an interior value, and the blow-up check can
+    take the whole buffer.
 
     Block size also sets the layout of the per-block constants, here and
     only here: a lone chunk multiplies by full (4, P) arrays, which its
@@ -194,10 +192,10 @@ class _Stencil:
     that layout, and each chunk the ``reaction_buffers`` of its rows,
     whose exchange rates take it too.  The chunks' scratch is four
     arrays of one chunk's size, made here, once: two increments, used in
-    turn, and the Laplacian's two.  ``record`` has its own array, as
-    long as the fields.  Ufuncs get their outputs positionally and
-    constants as 0-d arrays: either is cheaper per call than the
-    alternative.
+    turn, and the Laplacian's two.  ``record`` and the exact blow-up
+    check share one array, as long as the fields.  Ufuncs get their
+    outputs positionally and constants as 0-d arrays: either is cheaper
+    per call than the alternative.
     """
 
     def __init__(self, data, dx, dy, bc, params=None):
@@ -238,27 +236,16 @@ class _Stencil:
             lo, hi = r0 * row, r1 * row
             # The chunk's rows of every block, in the buffer and in scratch.
             whole = [blocks[:, lo:hi]] + [a[:, : hi - lo] for a in (incs[j % 2], twice, pair)]
-            n0, n1 = max(r0, gx), min(r1, gx + nx)
-            rows = slice(n0 - gx, n1 - gx)
-            # The padding in a chunk holds stale sums until ``refresh``, which
-            # runs once, before the last chunk is checked for blow-up.  So
-            # ``peak`` is that check's nodes and where their magnitudes go.
             if count == 1:
                 # Whole blocks: the nodes of all four, and the padding
-                # between them, are one flat span, checked after ``refresh``.
+                # between them, are one flat span.
                 base, lo = self.buffer, gx * row + gy
                 hi = base.size - lo
                 state, lap, rates, work = (a.reshape(-1)[lo:hi] for a in whole)
-                peak = ((state,), state, lap, lap)
             else:
-                # Each block's run from the chunk's first node to its
-                # last, with stale padding between rows; then the nodes
-                # alone, into the front of the spent increment.
                 base = blocks
                 state, lap, rates, work = whole
-                flat = incs[j % 2].reshape(-1)[: 4 * (n1 - n0) * ny]
-                spans = tuple(blocks[:, n0 * row + gy : (n1 - 1) * row + gy + ny])
-                peak = (spans, self.fields[:, rows], flat.reshape(4, n1 - n0, ny), flat)
+            n0, n1 = max(r0, gx), min(r1, gx + nx)
             lap_nodes = whole[1].reshape(4, r1 - r0, row)[:, n0 - r0 : n1 - r0, gy : gy + ny]
             reaction = None
             if params is not None:
@@ -273,12 +260,11 @@ class _Stencil:
                     twice=rates,
                     pair=work,
                     axes=[
-                        (base[..., lo + s : hi + s], base[..., lo - s : hi - s], h2)
-                        for s, h2 in steps
+                        (base[..., lo + s : hi + s], base[..., lo - s : hi - s], h2, onto)
+                        for (s, h2), onto in zip(steps, (self._zero, lap))
                     ],
                     reaction=reaction,
-                    peak=peak,
-                    rows=rows,
+                    rows=slice(n0 - gx, n1 - gx),
                     lap_nodes=lap_nodes,
                 )
             )
@@ -313,11 +299,11 @@ class _Stencil:
             lap.fill(0.0)
             return lap
         np.multiply(chunk.state, self._two, twice)
-        for i, (ahead, behind, h2) in enumerate(chunk.axes):
+        for ahead, behind, h2, onto in chunk.axes:
             np.add(ahead, behind, pair)
             np.subtract(pair, twice, pair)
             np.divide(pair, h2, pair)
-            np.add(lap if i else self._zero, pair, lap)
+            np.add(onto, pair, lap)
         return lap
 
     def record(self, t, ix, iy, dx, dy):
@@ -411,18 +397,13 @@ def _advance(stencil, dt, k):
     elementwise expression of the old state as in one pass over whole
     blocks, so the chunk size never changes a bit.
 
-    Each chunk's nodes are checked for blow-up as soon as they hold the
-    new state, while they are in cache (``_in_range``).  ``refresh``
-    resets the padding once, before the last chunk's check, so a lone
-    chunk's check may take its flat span: it holds only nodes, their
-    copies and zeros.  A NaN anywhere, or a magnitude above
-    BLOWUP_LIMIT, read at every call, raises BlowUpError once the whole
-    step is taken.  Every operand is a view the stencil built, so
-    nothing is sliced or allocated.
+    Once the whole step is taken and ``refresh`` has reset the padding,
+    the step is checked for blow-up, once (``_in_range``): a NaN node,
+    or a magnitude above BLOWUP_LIMIT, read at every call, raises
+    BlowUpError.  Every operand is a view the stencil built, so nothing
+    is sliced or allocated.
     """
-    limit = BLOWUP_LIMIT
-    bound = limit * (1.0 - _PRECHECK_MARGIN) if limit >= _PRECHECK_FLOOR else -1.0
-    column, in_range, behind = stencil.diffusivities, True, None
+    column, behind = stencil.diffusivities, None
     for chunk in stencil.chunks:
         lap = stencil.laplacian(chunk)
         np.multiply(chunk.blocks, column, chunk.blocks)
@@ -431,12 +412,10 @@ def _advance(stencil, dt, k):
         np.multiply(lap, dt, lap)
         if behind is not None:
             np.add(behind.state, behind.lap, behind.state)
-            in_range &= _in_range(behind.peak, bound, limit)
         behind = chunk
     np.add(behind.state, behind.lap, behind.state)
     stencil.refresh()
-    in_range &= _in_range(behind.peak, bound, limit)
-    if not in_range:
+    if not _in_range(stencil):
         t = k * float(dt)
         maxima = _swap_roles([float(np.max(np.abs(f))) for f in stencil.fields])
         peak = float(np.max(maxima))
@@ -450,23 +429,24 @@ def _advance(stencil, dt, k):
         )
 
 
-def _in_range(peak, bound, limit):
-    """Whether no node of a chunk's ``peak`` is NaN or above limit in magnitude.
+def _in_range(stencil):
+    """Whether no node is NaN or above BLOWUP_LIMIT in magnitude.
 
-    The precheck: the root of a span's sum of squares bounds every
-    magnitude in it, so a root of at most ``bound`` passes the chunk.
-    Any other total (a NaN or an infinity, a sum that overflows, stale
-    padding that is large, a bound of -1) leaves the answer to the exact
-    check of the nodes alone.
+    Called after ``refresh``, when every padding cell is zero or a copy
+    of a node.  The precheck: the root of the whole buffer's sum of
+    squares bounds every node, so a root at most the limit less
+    _PRECHECK_MARGIN of it passes the step.  Any other root (a NaN or an
+    infinity, a sum that overflows, a root within the margin of the
+    limit, or any root under a limit below _PRECHECK_FLOOR) leaves the answer to the exact check of the
+    nodes alone, whose magnitudes go into the record array.
     """
-    spans, nodes, magnitudes, flat = peak
-    total = 0.0
-    for span in spans:
-        total += np.dot(span, span)
-    if math.sqrt(total) <= bound:
+    limit, buffer = BLOWUP_LIMIT, stencil.buffer
+    bound = limit * (1.0 - _PRECHECK_MARGIN)
+    if limit >= _PRECHECK_FLOOR and math.sqrt(np.dot(buffer, buffer)) <= bound:
         return True
-    np.abs(nodes, magnitudes)
-    return float(np.maximum.reduce(flat)) <= limit
+    magnitudes = stencil._record
+    np.abs(stencil.fields, magnitudes.reshape(stencil.fields.shape))
+    return float(np.maximum.reduce(magnitudes)) <= limit
 
 
 def _state_like(state, stencil):

@@ -403,6 +403,24 @@ def test_a_large_block_is_several_chunks():
         constants = chunk.reaction[2][0]
         assert constants.coupling.shape == (4, 1)
         assert all(a.size <= 4 for a in arrays_in(constants))
+    # However many chunks, a step's blow-up check is one dot product of
+    # the refreshed buffer with itself: on 200x200, and on 12x9 with one
+    # padded row per chunk.
+    for nx, ny, block in ((200, 200, solver.STEP_BLOCK), (12, 9, 11)):
+        for bc in (BC_NEUMANN, BC_DIRICHLET0):
+            with mock.patch.object(solver, "STEP_BLOCK", block):
+                stencil = _Stencil(np.ones((4, nx, ny)), 1.0, 1.0, bc, SystemParams())
+            assert len(stencil.chunks) == (5 if nx == 200 else 12)
+            operands = []
+
+            def dot(a, b, real=np.dot):
+                operands.append((a, b))
+                return real(a, b)
+
+            with mock.patch.object(np, "dot", dot):
+                _advance(stencil, np.array(0.01), 1)
+            assert len(operands) == 1
+            assert all(a is stencil.buffer for a in operands[0])
 
 
 def step_both(data, dx, dy, bc, params, dt):
@@ -473,29 +491,32 @@ def test_a_sum_of_squares_above_the_limit_squared_does_not_raise():
     assert in_field_order(new).tobytes() == old.fields.tobytes()
 
 
-def test_stale_padding_that_trips_the_precheck_leaves_the_answer_to_the_exact_check():
-    # A ramp across each row, diffused hard: the ghost cells inside each
-    # chunk's spans take stale sums near 1e12 before ``refresh``, while
-    # every node stays near 1e10.  The chunks checked before ``refresh``
-    # fall back to the node by node check, which passes.
+def test_a_hard_diffused_ramp_passes_on_one_dot_over_the_refreshed_buffer():
+    # A ramp across each row, diffused hard: every node ends near 1e10,
+    # and the padding inside each chunk takes sums near 1e12 during the
+    # step.  Checked once, after ``refresh``, the padding holds only
+    # zeros and copies of nodes, so one dot over the whole buffer passes
+    # the step with no node by node check.
     params = SystemParams(a=1e6)
     data = np.zeros((4, 200, 200))
     data[0] = np.linspace(0.0, 1e8, 200)
     old = ReferenceStencil(data, 1.0, 1.0, BC_NEUMANN)
     new = _Stencil(data, 1.0, 1.0, BC_NEUMANN, params)
     assert blow_up_message(lambda: reference_advance(old, params, 1e-2, 1)) is None
-    exact = []
+    roots, exact = [], []
+
+    def dot(a, b, real=np.dot):
+        total = real(a, b)
+        roots.append((a is b is new.buffer, math.sqrt(total)))
+        return total
 
     def spy(nodes, magnitudes):
         exact.append(nodes.shape)
         return np.absolute(nodes, magnitudes)
 
-    with mock.patch.object(np, "abs", spy):
+    with mock.patch.object(np, "dot", dot), mock.patch.object(np, "abs", spy):
         _advance(new, 1e-2, 1)
     assert in_field_order(new).tobytes() == old.fields.tobytes()
-    assert len(new.chunks) == 5 and len(exact) == 4
-    bound = solver.BLOWUP_LIMIT * (1.0 - solver._PRECHECK_MARGIN)
-    for chunk in new.chunks:
-        # The nodes alone would have passed the precheck.
-        nodes = new.fields[:, chunk.rows]
-        assert math.sqrt(float(np.sum(nodes * nodes))) <= bound
+    assert len(new.chunks) == 5 and exact == []
+    ((whole, root),) = roots
+    assert whole and root <= solver.BLOWUP_LIMIT * (1.0 - solver._PRECHECK_MARGIN)

@@ -5,11 +5,13 @@ a change to the API they show fails here.  ``series``, which the series
 example takes as given, is a seeded Henon x series of 2,000 samples.
 """
 
+import importlib
 import math
+import pkgutil
 import re
 from pathlib import Path
 
-from b4 import solver, tsa
+import b4
 from test_golden import henon_series
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -27,18 +29,19 @@ def test_library_use_examples_run(capsys):
 
 
 def test_constants_paragraph_names_every_fixed_setting():
-    # Each public numeric constant of b4.tsa, and the step's chunk size,
-    # is a setting the README lists with its value.
+    # Each public numeric constant of every b4 module is a setting the
+    # README lists with its value.
     paragraph = next(
         block
         for block in README.read_text().split("\n\n")
         if block.startswith("The analysis settings that are not config keys")
     )
+    modules = [importlib.import_module(f"b4.{m.name}") for m in pkgutil.iter_modules(b4.__path__)]
     names = [
         name
-        for name, value in vars(tsa).items()
-        if name.isupper() and type(value) in (int, float)
+        for module in modules
+        for name, value in vars(module).items()
+        if name.isupper() and not name.startswith("_") and type(value) in (int, float)
     ]
-    assert "MAX_POINTS" in names and hasattr(solver, "STEP_BLOCK")
-    names.append("STEP_BLOCK")
+    assert {"MAX_POINTS", "STEP_BLOCK", "BLOWUP_LIMIT", "GROWTH_CAP"} <= set(names)
     assert [name for name in names if not re.search(rf"\b{name}\b", paragraph)] == []
