@@ -14,6 +14,12 @@ one eigenvalue test at their midpoint; only the modes where c4 or the
 determinant is within rounding of zero are tested one by one.  The
 count is the one an eigenvalue test of every mode gives.
 
+Memory stays bounded: the sorted mode list, 8 bytes a mode, is the only
+array that grows with the mode count.  The census classifies it in
+blocks of _CENSUS_BLOCK modes and adds up the counts, and the rectangle's
+eigenvalues are enumerated in bands of about as many lattice values.
+Every test is per mode, so the block size never changes a count.
+
 Bound formulas accept exact rational inputs: with Fraction-valued
 parameters and even N the lower-bound base stays a Fraction.
 """
@@ -32,6 +38,10 @@ from .model import validate_params
 # already pass from 1e-16 on, and fail at 0.
 EDGE_ROUNDING = 1e-11
 
+# The modes, or lattice values, that one pass of the census or of the
+# enumeration holds temporaries for: it sets memory, never a result.
+_CENSUS_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -47,15 +57,21 @@ def neumann_eigenvalues(Lx, Ly, count):
 
     Values are pi^2 (j^2/Lx^2 + k^2/Ly^2) over j,k >= 0, ascending and
     with multiplicity.  Pass Ly=None for a one-dimensional interval,
-    which keeps only the k=0 branch.
+    which keeps only the k=0 branch.  The result is built in place: the
+    rectangle's values under a cutoff go, band by band, into one array
+    that is sorted and cut to `count`, with no copy.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if Lx <= 0 or (Ly is not None and Ly <= 0):
         raise ValueError("domain lengths must be positive")
     if Ly is None:
-        j = np.arange(count, dtype=float)
-        return math.pi**2 * j**2 / Lx**2
+        # pi^2 j^2 / Lx^2, evaluated in place in that order.
+        mu = np.arange(count, dtype=float)
+        np.multiply(mu, mu, mu)
+        np.multiply(mu, math.pi**2, mu)
+        np.divide(mu, Lx**2, mu)
+        return mu
 
     # Enumerate everything below a cutoff that holds at least `count`
     # values.  Each lattice point (j, k) owns the unit cell above and to
@@ -70,10 +86,27 @@ def neumann_eigenvalues(Lx, Ly, count):
     kmax = int(math.sqrt(bound) * Ly / math.pi) + 1
     jj = (np.arange(jmax + 1, dtype=float) / Lx) ** 2
     kk = (np.arange(kmax + 1, dtype=float) / Ly) ** 2
-    mu = (math.pi**2 * np.add.outer(jj, kk)).ravel()
-    mu = mu[mu <= bound]
+
+    # The lattice in bands of whole rows j, about _CENSUS_BLOCK values
+    # each: pi^2 (jj[j] + kk).  One pass counts the values under the
+    # cutoff, the next writes them, in the same order, into one array.
+    rows = max(1, _CENSUS_BLOCK // kk.size)
+
+    def bands():
+        for start in range(0, jj.size, rows):
+            band = np.add.outer(jj[start : start + rows], kk)
+            np.multiply(band, math.pi**2, band)
+            yield band[band <= bound]
+
+    mu = np.empty(sum(under.size for under in bands()))
+    end = 0
+    for under in bands():
+        mu[end : end + under.size] = under
+        end += under.size
     mu.sort()
-    return mu[:count]
+    # In place: no view of mu exists, and the values past count go.
+    mu.resize(count, refcheck=False)
+    return mu
 
 
 def mode_matrix(mu, params):
@@ -146,6 +179,8 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
     mode matrix, and modes with any eigenvalue in the right half-plane.
     The full count is classified piece by piece between the roots of
     c1, c3, c4 and the Hurwitz determinant; see the module docstring.
+    Both counts are taken over blocks of _CENSUS_BLOCK modes, so that
+    besides the mode list the census holds temporaries of one block.
     """
     if max_modes < 1:
         raise ValueError("max_modes must be at least 1")
@@ -155,7 +190,6 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
     mus = neumann_eigenvalues(Lx, Ly, max_modes)
     rate_sum = float(params.a + params.b + params.c + params.d)
     bracket = float(_trace_bracket(params))
-    trace_count = int(np.sum(-rate_sum * mus + bracket > 0.0))
 
     base = mode_matrix(0.0, params)
     rates = [float(params.a), float(params.b), float(params.c), float(params.d)]
@@ -169,8 +203,6 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
     edges = np.concatenate([p.roots() for p in (c1, c3, c4, hurwitz)]).real
     cuts = _sorted_distinct(np.concatenate(([0.0], edges[(edges > 0.0) & (edges < top)], [top])))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    piece = np.searchsorted(cuts, mus, side="right") - 1
-    unstable = _any_unstable(base, ramp, mids)[piece]
 
     # |c4| <= |lam| size^3 for a real eigenvalue lam, and by Orlando's
     # formula |hurwitz| <= 2 |Re lam| (2 size)^5 for a complex pair, so
@@ -186,9 +218,16 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
             np.abs(hurwitz(m)) <= EDGE_ROUNDING * size4 * size * size
         )
 
-    direct = near_edge(mus) | near_edge(mids)[piece]
-    unstable[direct] = _any_unstable(base, ramp, mus[direct])
-    full_count = int(np.count_nonzero(unstable))
+    mid_unstable, mid_near = _any_unstable(base, ramp, mids), near_edge(mids)
+    trace_count = full_count = 0
+    for start in range(0, mus.size, _CENSUS_BLOCK):
+        block = mus[start : start + _CENSUS_BLOCK]
+        trace_count += int(np.count_nonzero(-rate_sum * block + bracket > 0.0))
+        piece = np.searchsorted(cuts, block, side="right") - 1
+        unstable = mid_unstable[piece]
+        direct = near_edge(block) | mid_near[piece]
+        unstable[direct] = _any_unstable(base, ramp, block[direct])
+        full_count += int(np.count_nonzero(unstable))
     return trace_count, full_count
 
 

@@ -309,20 +309,34 @@ def _even_indices(n, k):
 
 
 def radii_grid(points):
-    """Log-spaced radii between pair-distance percentiles (max norm)."""
+    """Log-spaced radii between pair-distance percentiles (max norm).
+
+    The nonzero distances of the sample's pairs i < j are taken
+    PAIR_BLOCK rows at a time into one array of at most k(k-1)/2.
+    """
     M = points.shape[0]
     k = min(M, PERCENTILE_SAMPLE)
     idx = _even_indices(M, k)
+    n = idx.size
     sub = np.ascontiguousarray(points[idx].T)
-    d = _max_distances(sub, slice(None), slice(None))
-    # The pairs above the diagonal, in the order of np.triu_indices,
-    # through a boolean mask: an eighth of the memory of its index arrays.
-    pairwise = d[~np.tri(idx.size, dtype=bool)]
-    pairwise = pairwise[pairwise > 0]
+    # Row a of a block is point start + a and column b is point
+    # start + 1 + b, so the pairs with b < a have i >= j; they are
+    # zeroed, and dropped with the coincident pairs.
+    band = np.tri(PAIR_BLOCK, k=-1, dtype=bool)
+    pairwise, end = np.empty(n * (n - 1) // 2), 0
+    for start in range(0, n - 1, PAIR_BLOCK):
+        rows = min(PAIR_BLOCK, n - 1 - start)
+        d = _max_distances(sub, slice(start, start + rows), slice(start + 1, n))
+        d[:, :rows][band[:rows, :rows]] = 0.0
+        d = d[d > 0]
+        pairwise[end : end + d.size] = d
+        end += d.size
+    pairwise = pairwise[:end]
     if pairwise.size == 0:
         raise ValueError("all sampled points coincide; no radius scale")
-    lo = float(np.percentile(pairwise, R_LO_PERCENTILE))
-    hi = float(np.percentile(pairwise, R_HI_PERCENTILE))
+    lo, hi = np.percentile(
+        pairwise, [R_LO_PERCENTILE, R_HI_PERCENTILE], overwrite_input=True
+    ).tolist()
     if lo <= 0:
         lo = float(pairwise.min())
     if hi <= lo:

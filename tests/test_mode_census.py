@@ -1,11 +1,15 @@
 """Property test: the piecewise mode census against one eigensolve per mode."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from b4 import spectral
 from b4.model import SystemParams
 from b4.spectral import mode_matrix, neumann_eigenvalues, unstable_mode_count
 
@@ -79,15 +83,23 @@ def parameter_sets(draw, unstable_start=False):
 lengths = st.floats(0.3, 300.0)
 
 
+def census_in_blocks_of(block, params, Lx, Ly, max_modes):
+    """The census with its private block size patched; None keeps it."""
+    with mock.patch.object(spectral, "_CENSUS_BLOCK", block or spectral._CENSUS_BLOCK):
+        return unstable_mode_count(params, Lx, Ly, max_modes)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     params=parameter_sets(),
     Lx=lengths,
     Ly=st.one_of(st.none(), lengths),
     max_modes=st.integers(1, 3000),
+    block=st.sampled_from([None, 1, 7, 3001]),
 )
-def test_census_equals_the_direct_count(params, Lx, Ly, max_modes):
-    got = unstable_mode_count(params, Lx, Ly, max_modes)
+def test_census_equals_the_direct_count(params, Lx, Ly, max_modes, block):
+    # 3001 is above every max_modes drawn: the census is one block.
+    got = census_in_blocks_of(block, params, Lx, Ly, max_modes)
     assert got == reference_unstable_mode_count(params, Lx, Ly, max_modes)
 
 
@@ -105,11 +117,46 @@ def test_census_equals_the_direct_count_with_modes_on_an_edge(params):
                     assert got == reference_unstable_mode_count(params, Lx, Ly, count)
 
 
+def first_cut_through_a_tie(Lx, Ly, count):
+    """The first mode count from `count` on whose last mode ties the next."""
+    mus = neumann_eigenvalues(Lx, Ly, count + 200)
+    return next(n for n in range(count, count + 200) if mus[n - 1] == mus[n])
+
+
 def test_census_equals_the_direct_count_past_the_unstable_band():
-    # Weak diffusion on the unit square: the low modes are unstable,
-    # the high ones stable, so the first and last pieces differ.
+    # Weak diffusion on the unit square, or the interval of side pi: the
+    # low modes are unstable, the high ones stable, so the first and
+    # last pieces differ.
     params = SystemParams(beta=5.9, a=3e-5, b=5e-5, c=2e-5, d=7e-5)
-    got = unstable_mode_count(params, math.pi, math.pi, 20000)
-    want = reference_unstable_mode_count(params, math.pi, math.pi, 20000)
-    assert got == want
-    assert 0 < want[1] < 20000
+    tie = first_cut_through_a_tie(math.pi, math.pi, 20000)
+    for Ly, max_modes, block in (
+        (math.pi, 20000, None),
+        # mu_jk = mu_kj on the square: the last mode counted has a twin
+        # that is not, and blocks of 7 split tie groups too.
+        (math.pi, tie, None),
+        (math.pi, tie, 7),
+        # The interval, over several blocks.
+        (None, 20000, None),
+    ):
+        got = census_in_blocks_of(block, params, math.pi, Ly, max_modes)
+        want = reference_unstable_mode_count(params, math.pi, Ly, max_modes)
+        assert got == want
+        assert 0 < want[1] < max_modes
+        assert max_modes > (block or spectral._CENSUS_BLOCK)
+
+
+@pytest.mark.parametrize("max_modes, budget_mib", [(120_000, 3), (1_000_000, 20)])
+def test_census_memory_does_not_grow_past_the_mode_list(max_modes, budget_mib):
+    # A draw of the benchmark's scan: the square of side pi.  The mode
+    # list alone takes 8 bytes a mode, 0.92 MiB at 120,000 modes and
+    # 7.63 MiB at 10^6; the rest of each budget is the enumeration's
+    # surplus under its cutoff and one block of temporaries.
+    params = SystemParams(beta=5.9, a=3e-6, b=5e-6, c=2e-6, d=7e-6)
+    unstable_mode_count(params, math.pi, math.pi, 10)  # lazy imports first
+    tracemalloc.start()
+    try:
+        unstable_mode_count(params, math.pi, math.pi, max_modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget_mib * 2**20

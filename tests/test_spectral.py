@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from b4.spectral import (
     neumann_eigenvalues,
     unstable_mode_count,
 )
+from test_mode_census import census_in_blocks_of, reference_unstable_mode_count
 
 NINE_PARAMS = SystemParams(beta=5.9, a=1e-6, b=2e-6, c=3e-6, d=4e-6)
 
@@ -77,7 +79,13 @@ def test_eigenvalues_match_brute_enumeration():
     j = np.arange(201.0)
     grid = math.pi**2 * np.add.outer(j**2 / Lx**2, j**2 / Ly**2)
     oracle = np.sort(grid.ravel())[:500]
-    assert np.allclose(neumann_eigenvalues(Lx, Ly, 500), oracle, rtol=1e-13)
+    mu = neumann_eigenvalues(Lx, Ly, 500)
+    assert np.allclose(mu, oracle, rtol=1e-13)
+    # The lattice is enumerated in bands of whole rows of about
+    # _CENSUS_BLOCK values: one row per band, a few, or all of them.
+    for block in (1, 7, 100, 10**6):
+        with mock.patch.object(spectral, "_CENSUS_BLOCK", block):
+            assert neumann_eigenvalues(Lx, Ly, 500).tobytes() == mu.tobytes()
 
 
 def test_eigenvalues_argument_guards():
@@ -148,9 +156,13 @@ def test_trace_count_matches_lattice_enumeration():
     p = SystemParams(beta=5.9, a=1e-3, b=2e-3, c=3e-3, d=4e-3)
     threshold = 1.5239 / 0.01
     want = lattice_count(threshold, jmax=20)
-    trace_count, full_count = unstable_mode_count(p, math.pi, math.pi, 300)
-    assert trace_count == want
-    assert full_count >= trace_count
+    reference = reference_unstable_mode_count(p, math.pi, math.pi, 300)
+    # Blocks of one mode, of 7, and one block above max_modes.
+    for block in (None, 1, 7, 301):
+        trace_count, full_count = census_in_blocks_of(block, p, math.pi, math.pi, 300)
+        assert trace_count == want
+        assert full_count >= trace_count
+        assert (trace_count, full_count) == reference
 
     coarse = SystemParams(beta=5.9, a=0.1, b=0.1, c=0.1, d=0.1)
     trace_count, _ = unstable_mode_count(coarse, math.pi, math.pi, 50)
