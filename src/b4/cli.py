@@ -29,6 +29,7 @@ def _cap_threads():
 _THREAD_CAP_ERROR = _cap_threads()
 
 import argparse
+import contextlib
 import math
 import sys
 import types
@@ -47,6 +48,7 @@ from .functionals import (
 )
 from .model import BC_NEUMANN, BC_TAGS, SystemParams, stationary_solution
 from .solver import (
+    BlowUpError,
     SolverConfig,
     initial_condition,
     load_checkpoint,
@@ -265,11 +267,12 @@ def _kept_end(path, keep, t=None, probe=None):
         return fh.tell()
 
 
-def _write_csv(path, header, rows, at=None):
-    """Write rows under a header into a new file.
+@contextlib.contextmanager
+def _csv_rows(path, header, at=None):
+    """Open path under a header, and yield a function that writes one row.
 
-    With ``at`` set, from ``_kept_end``, the file instead keeps its
-    first ``at`` bytes, is cut there, and gets the rows after them.
+    The file is new, or, with ``at`` set, from ``_kept_end``, it keeps
+    its first ``at`` bytes, is cut there, and gets the rows after them.
 
     Each value is typed on its own, not by its column: a bool is written
     as true or false, a str as it is, an integer (numpy's too) in full,
@@ -277,18 +280,28 @@ def _write_csv(path, header, rows, at=None):
     through one ``%`` format per sequence of types, built once.
     """
     formats = {}
+
+    def write(row):
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join(map(_spec, kinds)) + "\n"
+        if bool in kinds:
+            row = [("false", "true")[v] if type(v) is bool else v for v in row]
+        fh.write(formats[kinds] % tuple(row))
+
     if at is not None:
         os.truncate(path, at)
     with open(path, "w" if at is None else "a") as fh:
         if at is None:
             fh.write(",".join(header) + "\n")
+        yield write
+
+
+def _write_csv(path, header, rows, at=None):
+    """Write rows under a header, into a new file or after ``at`` bytes (``_csv_rows``)."""
+    with _csv_rows(path, header, at) as write:
         for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = ",".join(map(_spec, kinds)) + "\n"
-            if bool in kinds:
-                row = [("false", "true")[v] if type(v) is bool else v for v in row]
-            fh.write(formats[kinds] % tuple(row))
+            write(row)
 
 
 def _snapshot_name(t):
@@ -344,26 +357,51 @@ def run_simulate(config):
     Files land in ``config.out_dir``: probe.csv and norms.csv hold one
     row per record_every steps, snapshot_<t>.csv field dumps appear
     when snapshot_every is set, and checkpoint.ck captures the final
-    state.  With resume_from pointing at a checkpoint, probe.csv and
-    norms.csv keep their rows up to the checkpoint step and get the new
-    rows after them, so the files are byte-identical to those of an
-    uninterrupted run, also when the same resume runs again.  Snapshot
-    files whose time, as their names round it, is past the run's last
-    step are removed once it has integrated.  A resume
-    whose dt or record_every differs from the run that wrote the files
-    raises ConfigError before it integrates, and so does one from a
-    checkpoint at a record step whose probe is not where that run's was.
-    Returns the written paths.
+    state.  Each row and snapshot is written at the step it is taken,
+    so memory does not grow with the run, and a run that blows up
+    leaves the rows of the record steps before the failing one.  With
+    resume_from pointing at a checkpoint, probe.csv and norms.csv keep
+    their rows up to the checkpoint step and get the new rows after
+    them, so the files are byte-identical to those of an uninterrupted
+    run, also when the same resume runs again.  Snapshot files whose
+    time, as their names round it, is past the run's last step are
+    removed once it has integrated.  A resume whose dt or record_every
+    differs from the run that wrote the files raises ConfigError before
+    it integrates, and so does one from a checkpoint at a record step
+    whose probe is not where that run's was.  Returns the written paths.
     """
     out = Path(config.out_dir)
     probe_path = out / "probe.csv"
     norms_path = out / "norms.csv"
     written = [probe_path, norms_path]
+    writers = []
 
-    def snapshot(state, step_index):
-        path = out / _snapshot_name(step_index * dt)
-        _write_csv(path, ["x", "y", "u", "v", "w", "z"], _snapshot_rows(state))
-        written.append(path)
+    def open_rows():
+        # probe.csv and norms.csv open once: at the first emission, which
+        # comes after every check, or when the run ends without one.
+        if not writers:
+            for path, header, at in (
+                (probe_path, "t,u,v,w,z", probe_end),
+                (
+                    norms_path,
+                    "t,l2_u,l2_v,l2_w,l2_z,grad_l2_u,grad_l2_v,grad_l2_w,grad_l2_z,"
+                    "L2_functional,K2_functional",
+                    norms_end,
+                ),
+            ):
+                writers.append(files.enter_context(_csv_rows(path, header.split(","), at)))
+
+    def emit(step_index, record, snapshot):
+        open_rows()
+        if record is not None:
+            t, l2 = record.t, record.l2_norms
+            k2 = l2[1] ** 2 + delta * l2[3] ** 2
+            writers[0]((t, *record.probe_values.as_tuple()))
+            writers[1]((t, *l2, *record.grad_l2_norms, sum(x * x for x in l2), k2))
+        if snapshot is not None:
+            path = out / _snapshot_name(step_index * dt)
+            _write_csv(path, ["x", "y", "u", "v", "w", "z"], _snapshot_rows(snapshot))
+            written.append(path)
 
     resuming = bool(config.resume_from)
     try:
@@ -415,8 +453,19 @@ def run_simulate(config):
                 probe = (ix, iy, state.data[:, ix, iy].tolist())
             probe_end = _kept_end(probe_path, kept + 1, t_kept, probe)
             norms_end = _kept_end(norms_path, kept + 1, t_kept)
+        # Weight of the second oscillator pair in the paired-norm monitor.
+        delta = params.D2 / params.D4
         out.mkdir(parents=True, exist_ok=True)
-        result = simulate(state, params, run, start_step, config.snapshot_every, snapshot)
+        with contextlib.ExitStack() as files:
+            try:
+                final = simulate(state, params, run, start_step, config.snapshot_every, emit)
+            except BlowUpError:
+                # A resume that blows up before its first record step, like
+                # one that ends before it, leaves the files cut to their
+                # kept rows.
+                open_rows()
+                raise
+            open_rows()
     except ValueError as exc:
         # A bad checkpoint, and the solver's stability, probe and step-count
         # checks, all point at the config.
@@ -431,33 +480,8 @@ def run_simulate(config):
         if t is not None and t > end:
             path.unlink()
 
-    # Weight of the second oscillator pair in the paired-norm monitor.
-    delta = params.D2 / params.D4
-    _write_csv(
-        probe_path,
-        ["t", "u", "v", "w", "z"],
-        ((rec.t, *rec.probe_values.as_tuple()) for rec in result.records),
-        at=probe_end,
-    )
-    _write_csv(
-        norms_path,
-        "t,l2_u,l2_v,l2_w,l2_z,grad_l2_u,grad_l2_v,grad_l2_w,grad_l2_z,"
-        "L2_functional,K2_functional".split(","),
-        (
-            (
-                rec.t,
-                *rec.l2_norms,
-                *rec.grad_l2_norms,
-                sum(x * x for x in rec.l2_norms),
-                rec.l2_norms[1] ** 2 + delta * rec.l2_norms[3] ** 2,
-            )
-            for rec in result.records
-        ),
-        at=norms_end,
-    )
-
     ck_path = out / "checkpoint.ck"
-    save_checkpoint(ck_path, result.final_state, params, run.total_steps, run.total_steps * dt)
+    save_checkpoint(ck_path, final, params, run.total_steps, run.total_steps * dt)
     written.append(ck_path)
     return written
 

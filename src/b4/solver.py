@@ -116,12 +116,17 @@ class ObservableRecord:
     maxs: tuple
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """The records at the record cadence and the state at the last step."""
+def _line_aligned_zeros(shape):
+    """Zeros whose first entry starts a 64-byte cache line.
 
-    records: list
-    final_state: GridState
+    numpy aligns to 16 bytes only.  The passes of a 200x200 step over
+    chunk scratch that starts mid-line took 15-20 % longer, so whether a
+    run was fast hung on what the process had allocated before.
+    """
+    size = math.prod(shape)
+    raw = np.zeros(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + size].reshape(shape)
 
 
 def _check_extent(n):
@@ -192,7 +197,8 @@ class _Stencil:
     that layout, and each chunk the ``reaction_buffers`` of its rows,
     whose exchange rates take it too.  The chunks' scratch is four
     arrays of one chunk's size, made here, once: two increments, used in
-    turn, and the Laplacian's two.  ``record`` and the exact blow-up
+    turn, and the Laplacian's two; with several chunks, each of their
+    rows starts a cache line.  ``record`` and the exact blow-up
     check share one array, as long as the fields.  Ufuncs get their
     outputs positionally and constants as 0-d arrays: either is cheaper
     per call than the alternative.
@@ -228,7 +234,9 @@ class _Stencil:
         else:
             ranges = [(gx + nx * j // count, gx + nx * (j + 1) // count) for j in range(count)]
         width = max(r1 - r0 for r0, r1 in ranges) * row
-        *incs, twice, pair = np.zeros((4, 4, width))
+        if count > 1:
+            width += -width % 8
+        *incs, twice, pair = _line_aligned_zeros((4, 4, width))
         blocks = self.buffer.reshape(4, size)
         steps = [(step, np.array(h**2)) for n, step, h in ((nx, row, dx), (ny, 1, dy)) if n > 1]
         self.chunks = []
@@ -454,21 +462,25 @@ def _state_like(state, stencil):
     return GridState(state.nx, state.ny, state.dx, state.dy, *fields, bc=state.bc)
 
 
-def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=None):
-    """Advance state0 to cfg.t_end, recording observables along the way.
+def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, emit=None):
+    """Advance state0 to cfg.t_end and return the state at the last step.
 
     Times are step_index * dt with absolute step indices, so a run
     resumed from step_offset reproduces the uninterrupted trajectory
     bit for bit.  Records, the probe values among them, are taken at
-    the step indices that record_every divides.  With snapshot_every
-    set, on_snapshot(state, step_index) receives a copy of the state at
-    every step index that it divides, as soon as that step is taken.
-    Both start at step 0 of a fresh run, and at the first step after
-    step_offset of a resumed one, whose start the earlier run emitted:
-    the records of a run and of its resumption concatenate to those of
-    the uninterrupted run.  t_end is mapped to the nearest whole step
-    count, cfg.total_steps, which must lie past step_offset.  Nothing
-    is emitted before every check has passed.
+    the step indices that record_every divides, and with snapshot_every
+    set, snapshots at those it divides.  Each goes to
+    emit(step_index, record, snapshot) as soon as its step is taken,
+    one call per step: record is an ObservableRecord, snapshot a copy
+    of the state, and either is None off its cadence.  Nothing is kept,
+    so memory does not grow with the run; without emit, nothing is
+    taken.  Both start at step 0 of a
+    fresh run, and at the first step after step_offset of a resumed
+    one, whose start the earlier run emitted: the emissions of a run
+    and of its resumption concatenate to those of the uninterrupted
+    run.  t_end is mapped to the nearest whole step count,
+    cfg.total_steps, which must lie past step_offset.  Nothing is
+    emitted before every check has passed.
     """
     limit = stability_limit(params, state0)
     if cfg.dt > limit:
@@ -485,19 +497,21 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, on_snapshot=N
     dx, dy = state0.dx, state0.dy
     stencil = _Stencil(state0.data, dx, dy, state0.bc, params)
     dt = np.array(cfg.dt)
-    records = []
     for k in range(step_offset, total_steps + 1):
         if k > step_offset:
             _advance(stencil, dt, k)
         elif k:
             # The run that stopped at step_offset has emitted this step.
             continue
-        if k % cfg.record_every == 0:
-            records.append(stencil.record(k * cfg.dt, ix, iy, dx, dy))
-        if snapshot_every and k % snapshot_every == 0:
-            on_snapshot(_state_like(state0, stencil), k)
-
-    return SimulationResult(records, _state_like(state0, stencil))
+        recorded = k % cfg.record_every == 0
+        snapped = snapshot_every and k % snapshot_every == 0
+        if emit is not None and (recorded or snapped):
+            emit(
+                k,
+                stencil.record(k * cfg.dt, ix, iy, dx, dy) if recorded else None,
+                _state_like(state0, stencil) if snapped else None,
+            )
+    return _state_like(state0, stencil)
 
 
 def initial_condition(nx, ny, dx, dy, base, amplitude, seed, bc=BC_NEUMANN):

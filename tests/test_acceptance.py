@@ -309,12 +309,12 @@ def probe_window(state, t_end, probe, t_lo, sub):
     """u at the probe on every sub-th step from t = t_lo (a multiple of sub) on."""
     window = []
 
-    def keep(snap, k):
-        if k * DT >= t_lo:
+    def keep(k, record, snap):
+        if snap is not None and k * DT >= t_lo:
             window.append(snap.u[probe])
 
     cfg = SolverConfig(dt=DT, t_end=t_end, record_every=60000, probe=probe)
-    simulate(state, NINE_PARAMS, cfg, snapshot_every=sub, on_snapshot=keep)
+    simulate(state, NINE_PARAMS, cfg, snapshot_every=sub, emit=keep)
     return np.array(window)
 
 
@@ -448,7 +448,7 @@ def test_solver_moves_single_grid_modes_by_the_mode_matrix(nx, ny, j, k, grows):
     base = np.array(stationary_solution(params).as_tuple())
     v0 = 1e-9 * np.array([1.0, -0.5, 0.25, 0.75])
     state = GridState(nx, ny, dx, dy, *(b + v * phi for b, v in zip(base, v0)), bc=BC_NEUMANN)
-    final = simulate(state, params, SolverConfig(dt=dt, t_end=n * dt, record_every=n)).final_state
+    final = simulate(state, params, SolverConfig(dt=dt, t_end=n * dt, record_every=n))
 
     got = np.array([np.sum((f - b) * phi) for f, b in zip(final.data, base)]) / np.sum(phi * phi)
     M = mode_matrix(mu, params)

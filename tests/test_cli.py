@@ -297,6 +297,56 @@ def test_retried_resume_matches_uninterrupted(tmp_path):
     assert len((tmp_path / "split" / "probe.csv").read_text().splitlines()) == 22
 
 
+def test_resume_with_no_record_step_after_its_checkpoint_cuts_the_rows(tmp_path):
+    # t = 10 is step 240 and t = 10.5 step 252, so the resume takes no record
+    # step; the rows the longer run left after step 240 must still go.
+    out = tmp_path / "out"
+    run_simulate(parse_config(chain_text(out, 10)))
+    ck = tmp_path / "ten.ck"
+    shutil.copy(out / "checkpoint.ck", ck)
+    run_simulate(parse_config(chain_text(out, 20)))
+    run_simulate(parse_config(chain_text(out, 10.5, f"resume_from = {ck}\n")))
+    full = tmp_path / "full"
+    run_simulate(parse_config(chain_text(full, 10.5)))
+    assert directory_bytes(out) == directory_bytes(full)
+    assert len((out / "probe.csv").read_text().splitlines()) == 12
+
+
+def test_blow_up_leaves_the_rows_before_the_failing_step(tmp_path, capsys):
+    # The 1x1 kinetics at beta = 9 and dt = 1/24 blow up at step 200, so the
+    # record steps 0, 24, ..., 192 and the snapshot steps 0, 96, 192 are kept.
+    kinetics = (
+        "nx = 1\nny = 1\nLx = 1\nLy = 1\nbeta = 9\nrecord_every = 24\nsnapshot_every = 96\n"
+    )
+    cfg = tmp_path / "run.cfg"
+
+    def simulate_to(out, t_end, extra=""):
+        cfg.write_text(f"{kinetics}t_end = {t_end}\nout_dir = {out}\n{extra}")
+        return main(["simulate", "--config", str(cfg)])
+
+    blown = tmp_path / "blown"
+    assert simulate_to(blown, 100) == 2
+    assert "(step 200)" in capsys.readouterr().err
+    assert len((blown / "probe.csv").read_text().splitlines()) == 1 + 9
+    # The same config ended at step 192 writes the same files, and its checkpoint.
+    short = tmp_path / "short"
+    assert simulate_to(short, 8) == 0
+    ended = directory_bytes(short)
+    assert ended.pop("checkpoint.ck")
+    assert directory_bytes(blown) == ended
+
+    # A resume from step 192 blows up before its first record step, and
+    # still cuts away rows a longer run left.
+    ck = tmp_path / "short.ck"
+    shutil.copy(short / "checkpoint.ck", ck)
+    for name in ("probe.csv", "norms.csv"):
+        with open(short / name, "a") as fh:
+            fh.write("9,9,9,9,9\n")
+    assert simulate_to(short, 100, f"resume_from = {ck}\n") == 2
+    for name in ("probe.csv", "norms.csv"):
+        assert (short / name).read_bytes() == ended[name]
+
+
 def test_resume_to_an_earlier_end_removes_the_later_snapshots(tmp_path):
     snapshots = "snapshot_every = 120\n"
     run_simulate(parse_config(chain_text(tmp_path / "full", 15, snapshots)))

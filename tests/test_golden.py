@@ -17,8 +17,9 @@ import numpy as np
 from b4 import tsa
 from b4.cli import parse_config, run_analyze, run_simulate
 from b4.model import SystemParams, stationary_solution
-from b4.solver import SolverConfig, initial_condition, simulate
+from b4.solver import SolverConfig, initial_condition
 from b4.tsa import albano_dimension, largest_lyapunov
+from test_solver import simulate_records
 
 # The byte-identity run of the acceptance suite.
 SMALL_RUN = """
@@ -122,11 +123,11 @@ def test_chain_probe_series_and_final_fields_are_pinned():
     params = SystemParams(a=0.02, b=0.04, c=0.06, d=0.08)
     state = initial_condition(40, 1, 0.5, 1.0, stationary_solution(params), 0.05, seed=3)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=20.0, record_every=1, probe=(7, 0))
-    result = simulate(state, params, cfg)
+    records, final_state = simulate_records(state, params, cfg)
     # (t, u, v, w, z) at every step, as a (481, 5) float64 array
-    probe = np.array([(rec.t, *rec.probe_values.as_tuple()) for rec in result.records])
+    probe = np.array([(rec.t, *rec.probe_values.as_tuple()) for rec in records])
     assert sha256(probe.tobytes()) == CHAIN_PROBE_SHA256
-    final = b"".join(f.tobytes() for f in result.final_state.fields())
+    final = b"".join(f.tobytes() for f in final_state.fields())
     assert sha256(final) == CHAIN_FINAL_SHA256
 
 

@@ -37,10 +37,10 @@ from b4.solver import (
     SolverConfig,
     _advance,
     _Stencil,
-    simulate,
     stability_limit,
 )
 from test_model import pair_rates
+from test_solver import simulate_records
 
 
 def reference_reaction(u, v, w, z, p):
@@ -258,11 +258,11 @@ def test_uniform_stationary_state_stays_exact_for_2000_steps(nx, ny):
     cfg = SolverConfig(dt=dt, t_end=2000 * dt, record_every=1)
     # A padding cell above the stationary peak would raise a false blow-up.
     with mock.patch.object(solver, "BLOWUP_LIMIT", max(base)):
-        result = simulate(state, params, cfg)
-    assert len(result.records) == 2001
-    assert result.final_state.data.tobytes() == state.data.tobytes()
-    assert all(rec.probe_values.as_tuple() == base for rec in result.records)
-    assert all(rec.mins == rec.maxs == base for rec in result.records)
+        records, final = simulate_records(state, params, cfg)
+    assert len(records) == 2001
+    assert final.data.tobytes() == state.data.tobytes()
+    assert all(rec.probe_values.as_tuple() == base for rec in records)
+    assert all(rec.mins == rec.maxs == base for rec in records)
 
 
 def test_zero_walls_never_report_a_peak_above_the_interior():
@@ -411,6 +411,12 @@ def test_a_large_block_is_several_chunks():
             with mock.patch.object(solver, "STEP_BLOCK", block):
                 stencil = _Stencil(np.ones((4, nx, ny)), 1.0, 1.0, bc, SystemParams())
             assert len(stencil.chunks) == (5 if nx == 200 else 12)
+            # Every row of the chunks' scratch starts a 64-byte cache line,
+            # whatever was allocated before: scratch that started mid-line
+            # made the 200x200 step 15-20 % slower.
+            for chunk in stencil.chunks:
+                for scratch in (chunk.lap, chunk.twice, chunk.pair):
+                    assert [row.ctypes.data % 64 for row in scratch] == [0] * 4
             operands = []
 
             def dot(a, b, real=np.dot):

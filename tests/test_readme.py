@@ -24,7 +24,7 @@ def test_library_use_examples_run(capsys):
     namespace = {"series": henon_series(2000, seed=1)}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    assert len(namespace["result"].records) == 101
+    assert len(namespace["rows"]) == 101
     assert math.isfinite(namespace["report"].d) and math.isfinite(namespace["lam"])
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ def step(state, params, dt):
     stencil = _Stencil(state.data, state.dx, state.dy, state.bc, params)
     _advance(stencil, dt, 1)
     return _state_like(state, stencil)
+
+
+def simulate_records(state, params, cfg, step_offset=0):
+    """``simulate`` with every record it emits kept: (records, final state)."""
+    records = []
+    final = simulate(state, params, cfg, step_offset, emit=lambda k, rec, _: records.append(rec))
+    return records, final
 
 
 def uniform_state(values, nx=5, ny=5, dx=1.0, dy=1.0, bc=BC_NEUMANN):
@@ -190,12 +198,11 @@ def test_simulate_from_zero_initial_data():
     grid = (8, 1, 1.0, 1.0)
     state = initial_condition(*grid, Point4(0, 0, 0, 0), 0.0, seed=1)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=2.0, record_every=12)
-    result = simulate(state, TABLE_PARAMS, cfg)
-    final = result.final_state
+    records, final = simulate_records(state, TABLE_PARAMS, cfg)
     assert all(np.all(np.isfinite(f)) for f in final.fields())
     assert np.all(final.u > 0) and np.all(final.w > 0)
     assert np.all(final.v > 0) and np.all(final.z > 0)
-    for rec in result.records:
+    for rec in records:
         assert min(rec.l2_norms) >= 0 and min(rec.grad_l2_norms) >= 0
 
 
@@ -203,11 +210,11 @@ def test_simulate_record_cadence_and_probe_shape():
     grid = (4, 1, 1.0, 1.0)
     state = initial_condition(*grid, stationary_solution(TABLE_PARAMS), 1e-3, seed=3)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=1.0, record_every=10, probe=(2, 0))
-    result = simulate(state, TABLE_PARAMS, cfg)
-    assert [round(r.t * 24) for r in result.records] == [0, 10, 20]
+    records, _ = simulate_records(state, TABLE_PARAMS, cfg)
+    assert [round(r.t * 24) for r in records] == [0, 10, 20]
     assert cfg.total_steps == 24
     # the recorded probe values are those of the probe node
-    assert result.records[0].probe_values.as_tuple() == tuple(state.data[:, 2, 0])
+    assert records[0].probe_values.as_tuple() == tuple(state.data[:, 2, 0])
 
 
 def test_simulate_guards():
@@ -238,12 +245,34 @@ def test_simulate_deterministic():
     grid = (16, 1, 0.5, 1.0)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=3.0, record_every=1)
     base = stationary_solution(TABLE_PARAMS)
-    r1 = simulate(initial_condition(*grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
-    r2 = simulate(initial_condition(*grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
-    assert len(r1.records) == 73
-    assert r1.records == r2.records
-    for f1, f2 in zip(r1.final_state.fields(), r2.final_state.fields()):
+    records1, final1 = simulate_records(initial_condition(*grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
+    records2, final2 = simulate_records(initial_condition(*grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
+    assert len(records1) == 73
+    assert records1 == records2
+    for f1, f2 in zip(final1.fields(), final2.fields()):
         assert np.array_equal(f1, f2)
+
+
+def test_simulate_keeps_nothing_per_record():
+    # 20,001 records go to a callback that keeps none, so the traced peak is
+    # the fixed working set of the run; holding the records took about 1 KB
+    # each.
+    state = initial_condition(8, 1, 1.0, 1.0, stationary_solution(TABLE_PARAMS), 1e-3, seed=4)
+    cfg = SolverConfig(dt=1.0 / 24.0, t_end=20000 / 24, record_every=1)
+    emitted = 0
+
+    def count(k, rec, snap):
+        nonlocal emitted
+        emitted += rec is not None
+
+    tracemalloc.start()
+    try:
+        simulate(state, TABLE_PARAMS, cfg, emit=count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emitted == 20001
+    assert peak < 64 * 1024, peak
 
 
 def test_simulate_resume_is_bit_identical(tmp_path):
@@ -251,19 +280,19 @@ def test_simulate_resume_is_bit_identical(tmp_path):
     base = stationary_solution(TABLE_PARAMS)
     state0 = initial_condition(*grid, base, 1e-3, 21)
     full_cfg = SolverConfig(dt=1.0 / 24.0, t_end=4.0, record_every=1)
-    full = simulate(state0, TABLE_PARAMS, full_cfg)
+    full, full_final = simulate_records(state0, TABLE_PARAMS, full_cfg)
 
     half_cfg = SolverConfig(dt=1.0 / 24.0, t_end=2.0, record_every=1)
-    half = simulate(state0, TABLE_PARAMS, half_cfg)
+    half, half_final = simulate_records(state0, TABLE_PARAMS, half_cfg)
     ck = tmp_path / "state.ck"
-    save_checkpoint(ck, half.final_state, TABLE_PARAMS, half_cfg.total_steps, 2.0)
+    save_checkpoint(ck, half_final, TABLE_PARAMS, half_cfg.total_steps, 2.0)
     loaded_state, loaded_params, step_index, _ = load_checkpoint(ck)
-    rest = simulate(loaded_state, loaded_params, full_cfg, step_offset=step_index)
+    rest, rest_final = simulate_records(loaded_state, loaded_params, full_cfg, step_index)
 
-    for f1, f2 in zip(full.final_state.fields(), rest.final_state.fields()):
+    for f1, f2 in zip(full_final.fields(), rest_final.fields()):
         assert np.array_equal(f1, f2)
-    assert len(full.records) == 97
-    assert half.records + rest.records == full.records
+    assert len(full) == 97
+    assert half + rest == full
 
 
 def test_initial_condition_contract():
@@ -391,8 +420,8 @@ def test_positivity_short_run():
     grid = (50, 1, 2.0, 1.0)
     state = initial_condition(*grid, stationary_solution(TABLE_PARAMS), 1e-3, seed=2)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=50.0, record_every=24)
-    result = simulate(state, TABLE_PARAMS, cfg)
-    worst = min(min(rec.mins) for rec in result.records)
+    records, _ = simulate_records(state, TABLE_PARAMS, cfg)
+    worst = min(min(rec.mins) for rec in records)
     assert worst >= -1e-12
 
 
@@ -406,8 +435,8 @@ def test_bounded_norms_insensitive_to_ic_amplitude():
 
     def tail_sup(amplitude):
         state = initial_condition(*grid, base, amplitude, seed=13)
-        result = simulate(state, TABLE_PARAMS, cfg)
-        tail = [r for r in result.records if r.t >= cfg.t_end / 2]
+        records, _ = simulate_records(state, TABLE_PARAMS, cfg)
+        tail = [r for r in records if r.t >= cfg.t_end / 2]
         return max(sum(n**2 for n in r.l2_norms) for r in tail)
 
     small, large = tail_sup(1e-3), tail_sup(1e-1)
