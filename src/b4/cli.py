@@ -297,9 +297,9 @@ def _csv_rows(path, header, at=None):
         yield write
 
 
-def _write_csv(path, header, rows, at=None):
-    """Write rows under a header, into a new file or after ``at`` bytes (``_csv_rows``)."""
-    with _csv_rows(path, header, at) as write:
+def _write_csv(path, header, rows):
+    """Write rows under a header into a new file (``_csv_rows``)."""
+    with _csv_rows(path, header) as write:
         for row in rows:
             write(row)
 
@@ -439,9 +439,10 @@ def run_simulate(config):
         if config.snapshot_every > 0:
             _check_snapshot_names(run, start_step, config.snapshot_every)
         # A resume keeps the rows up to the checkpoint step, which the run
-        # that wrote it has written; None writes a new file.
+        # that wrote it has written; None writes a new file.  A start at
+        # step 0 emits step 0 itself, so it keeps none, as a fresh run.
         probe_end = norms_end = None
-        if resuming:
+        if resuming and start_step > 0:
             kept = start_step // config.record_every
             t_kept = kept * config.record_every * dt
             # At a record step, the last kept probe row holds the checkpoint's

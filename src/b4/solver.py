@@ -589,6 +589,8 @@ def load_checkpoint(path):
     if bc_code not in _BC_NAMES:
         raise ValueError(f"unknown boundary code {bc_code}")
     check_geometry(nx, ny, dx, dy, _BC_NAMES[bc_code])
+    if step_index < 0:
+        raise ValueError(f"checkpoint step index {step_index} is negative")
     count = 4 * nx * ny
     if len(raw) != header_size + count * 8:
         raise ValueError("checkpoint payload size mismatch")

@@ -9,7 +9,9 @@ exponent.
 
 Pair distances use the max norm; neighbor searches for the exponent
 use the Euclidean norm.  Temporally close pairs are excluded via a
-Theiler window (default tau*m).
+Theiler window (default tau*m).  The correlation integral and the
+radii grid take their pair distances from one blocked walk,
+``_pair_blocks``, which marks the pairs inside its band as NaN.
 """
 
 import math
@@ -185,19 +187,30 @@ def svd_reduce(rows, threshold):
     return centered @ evecs[:, kept], kept_count, sigma
 
 
-def _max_distances(coords, rows, cols):
-    """Max-norm distances, shape (rows, cols), between two slices of points.
+def _pair_blocks(points, gap):
+    """The one pair walk: max-norm distances of an (M, m) array's points.
 
-    ``coords`` holds one coordinate per row, shape (m, M).
+    One block per PAIR_BLOCK reference points: row a is point i = start + a,
+    column b point j = start + gap + b.  The pairs with b < a, in the band
+    j - i < gap, are NaN, which fails every comparison and sorts last.
     """
-    first, *rest = coords
-    d = np.abs(first[cols] - first[rows, None])
-    diff = np.empty_like(d)
-    for x in rest:
-        np.subtract(x[cols], x[rows, None], out=diff)
-        np.abs(diff, out=diff)
-        np.maximum(d, diff, out=d)
-    return d
+    coords = np.ascontiguousarray(points.T)
+    M = points.shape[0]
+    band = np.tri(PAIR_BLOCK, k=-1, dtype=bool)
+    for start in range(0, M - gap, PAIR_BLOCK):
+        n = min(PAIR_BLOCK, M - gap - start)
+        rows, cols = slice(start, start + n), slice(start + gap, M)
+        first, *rest = coords
+        d = np.abs(first[cols] - first[rows, None])
+        diff = np.empty_like(d)
+        for x in rest:
+            np.subtract(x[cols], x[rows, None], out=diff)
+            np.abs(diff, out=diff)
+            np.maximum(d, diff, out=d)
+        d[:, :n][band[:n, :n]] = np.nan
+        # Held across the yield, diff would add a block to the peak memory.
+        del diff
+        yield d
 
 
 def correlation_integral(points, radii, theiler_window=0):
@@ -205,9 +218,9 @@ def correlation_integral(points, radii, theiler_window=0):
 
     Pairs i < j with j - i <= theiler_window are excluded from the
     count; the denominator stays the full pair count M(M-1)/2.  Pairs
-    are counted PAIR_BLOCK reference points at a time: the block's
-    distances to all later points are sorted once, and each radius
-    reads its count off by bisection.
+    are counted a block of the pair walk (``_pair_blocks``, gap
+    theiler_window + 1) at a time: the block is sorted once, its NaN
+    band last, and each radius reads its count off by bisection.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -225,15 +238,8 @@ def correlation_integral(points, radii, theiler_window=0):
     gap = theiler_window + 1
     if M - gap < 1:
         raise ValueError("no usable pairs outside the Theiler window")
-    coords = np.ascontiguousarray(pts.T)
-    # Row a of a block is point start + a and column b is point
-    # start + gap + b, so the pairs with b < a lie inside the Theiler band.
-    band = np.tri(PAIR_BLOCK, k=-1, dtype=bool)
     below = np.zeros(radii.size, dtype=np.int64)
-    for start in range(0, M - gap, PAIR_BLOCK):
-        n = min(PAIR_BLOCK, M - gap - start)
-        d = _max_distances(coords, slice(start, start + n), slice(start + gap, M))
-        d[:, :n][band[:n, :n]] = np.inf
+    for d in _pair_blocks(pts, gap):
         d = d.ravel()
         d.sort()
         below += np.searchsorted(d, radii, side="left")
@@ -311,23 +317,17 @@ def _even_indices(n, k):
 def radii_grid(points):
     """Log-spaced radii between pair-distance percentiles (max norm).
 
-    The nonzero distances of the sample's pairs i < j are taken
-    PAIR_BLOCK rows at a time into one array of at most k(k-1)/2.
+    The nonzero distances of the sample's pairs i < j are taken a block
+    of the pair walk (``_pair_blocks``, gap 1) at a time into one array
+    of at most k(k-1)/2; ``d > 0`` drops the block's NaN band and the
+    coincident pairs in one comparison.
     """
     M = points.shape[0]
     k = min(M, PERCENTILE_SAMPLE)
     idx = _even_indices(M, k)
     n = idx.size
-    sub = np.ascontiguousarray(points[idx].T)
-    # Row a of a block is point start + a and column b is point
-    # start + 1 + b, so the pairs with b < a have i >= j; they are
-    # zeroed, and dropped with the coincident pairs.
-    band = np.tri(PAIR_BLOCK, k=-1, dtype=bool)
     pairwise, end = np.empty(n * (n - 1) // 2), 0
-    for start in range(0, n - 1, PAIR_BLOCK):
-        rows = min(PAIR_BLOCK, n - 1 - start)
-        d = _max_distances(sub, slice(start, start + rows), slice(start + 1, n))
-        d[:, :rows][band[:rows, :rows]] = 0.0
+    for d in _pair_blocks(points[idx], 1):
         d = d[d > 0]
         pairwise[end : end + d.size] = d
         end += d.size
@@ -337,8 +337,6 @@ def radii_grid(points):
     lo, hi = np.percentile(
         pairwise, [R_LO_PERCENTILE, R_HI_PERCENTILE], overwrite_input=True
     ).tolist()
-    if lo <= 0:
-        lo = float(pairwise.min())
     if hi <= lo:
         hi = lo * 10.0
     return np.geomspace(lo, hi, RADII_COUNT)

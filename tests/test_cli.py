@@ -23,7 +23,7 @@ from b4.cli import (
     serialize,
 )
 from b4.model import SystemParams, stationary_solution
-from b4.solver import initial_condition, save_checkpoint
+from b4.solver import initial_condition, load_checkpoint, save_checkpoint
 from b4.spectral import dimension_bounds
 
 
@@ -310,6 +310,42 @@ def test_resume_with_no_record_step_after_its_checkpoint_cuts_the_rows(tmp_path)
     run_simulate(parse_config(chain_text(full, 10.5)))
     assert directory_bytes(out) == directory_bytes(full)
     assert len((out / "probe.csv").read_text().splitlines()) == 12
+
+
+def test_resume_from_step_zero_writes_the_files_afresh(tmp_path):
+    # A start at step 0 emits step 0 itself, so the resume keeps none of
+    # the rows that the directory holds and writes the t = 0 row once.
+    out, empty = tmp_path / "out", tmp_path / "empty"
+    cfg = parse_config(chain_text(out, 2))
+    run_simulate(cfg)
+    params = cfg.system_params()
+    dx, dy = cfg.spacings()
+    state = initial_condition(
+        cfg.nx, cfg.ny, dx, dy, stationary_solution(params), cfg.ic_amplitude, cfg.ic_seed
+    )
+    ck = tmp_path / "zero.ck"
+    save_checkpoint(ck, state, params, 0, 0.0)
+    for directory in (out, empty):
+        run_simulate(parse_config(chain_text(directory, 2, f"resume_from = {ck}\n")))
+    for name in ("probe.csv", "norms.csv"):
+        assert (out / name).read_bytes() == (empty / name).read_bytes()
+    assert len((out / "probe.csv").read_text().splitlines()) == 4  # header, t = 0, 1, 2
+
+
+def test_resume_from_a_negative_step_is_a_config_error(tmp_path, capsys):
+    # Step -48 at dt = 1/24 is t = -2, so only the step index itself is wrong.
+    out = tmp_path / "out"
+    run_simulate(parse_config(chain_text(out, 2)))
+    before = directory_bytes(out)
+    state, params, _, _ = load_checkpoint(out / "checkpoint.ck")
+    ck = tmp_path / "negative.ck"
+    save_checkpoint(ck, state, params, -48, -2.0)
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text(chain_text(out, 4, f"resume_from = {ck}\n"))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "step index -48 is negative" in capsys.readouterr().err
+    assert directory_bytes(out) == before
 
 
 def test_blow_up_leaves_the_rows_before_the_failing_step(tmp_path, capsys):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from b4.cli import ConfigError, _kept_end, _snapshot_rows, _write_csv
+from b4.cli import ConfigError, _csv_rows, _kept_end, _snapshot_rows, _write_csv
 from b4.model import BC_DIRICHLET0, BC_NEUMANN, GridState
 
 
@@ -41,8 +41,10 @@ def oracle_write_csv(path, header, rows, append=False):
 
 
 def write_kept(path, header, rows, keep=None):
-    """``_write_csv`` after the first ``keep`` rows of path, as a resume writes."""
-    _write_csv(path, header, rows, at=None if keep is None else _kept_end(path, keep))
+    """``_csv_rows`` after the first ``keep`` rows of path, as a resume writes."""
+    with _csv_rows(path, header, None if keep is None else _kept_end(path, keep)) as write:
+        for row in rows:
+            write(row)
 
 
 def oracle_write_snapshot(path, state):

@@ -387,9 +387,21 @@ def reference_radii_grid(points):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=st.integers(2, 1500), dims=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_radii_grid_is_that_of_the_index_form(rows, dims, seed):
-    points = np.random.default_rng(seed).normal(size=(rows, dims)).round(1)
+@given(
+    rows=st.one_of(st.integers(2, 1500), st.integers(2, 40)),
+    dims=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    holes=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3),
+    block=st.sampled_from([tsa.PAIR_BLOCK, 1, 7, None]),
+)
+def test_radii_grid_is_that_of_the_index_form(rows, dims, seed, holes, block):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(rows, dims)).round(1)
+    # Non-finite coordinates, put on sampled points: an inf distance is
+    # kept as a distance, a NaN one dropped with the coincident pairs.
+    sampled = tsa._even_indices(rows, min(rows, tsa.PERCENTILE_SAMPLE))
+    for value in holes:
+        points[rng.choice(sampled), rng.integers(dims)] = value
 
     def outcome(radii):
         try:
@@ -397,4 +409,6 @@ def test_radii_grid_is_that_of_the_index_form(rows, dims, seed):
         except ValueError as err:
             return str(err)
 
-    assert outcome(tsa.radii_grid) == outcome(reference_radii_grid)
+    # PAIR_BLOCK sets memory and speed only; None puts all points in one block.
+    with np.errstate(invalid="ignore"), mock.patch.object(tsa, "PAIR_BLOCK", block or rows + 1):
+        assert outcome(tsa.radii_grid) == outcome(reference_radii_grid)
