@@ -1,13 +1,15 @@
-"""Golden SHA-256 digests of the solver, ``simulate`` and ``analyze`` outputs.
+"""Golden SHA-256 digests of the solver and of the four commands' outputs.
 
 The digests pin outputs bit for bit, so a refactor of the solver, the
-stencil, the pair count or the CSV writers must leave every value here
-unchanged.  They
+stencil, the pair count, the mode census, the feasibility sweep or the
+CSV writers must leave every value here unchanged.  They
 were taken with numpy 2.4.6; another numpy build may round some ufunc
 differently and legitimately need new digests.
 """
 
 import hashlib
+import math
+import random
 import shutil
 from dataclasses import replace
 from unittest import mock
@@ -15,7 +17,7 @@ from unittest import mock
 import numpy as np
 
 from b4 import tsa
-from b4.cli import parse_config, run_analyze, run_simulate
+from b4.cli import parse_config, run_analyze, run_bounds, run_feasibility, run_simulate
 from b4.model import SystemParams, stationary_solution
 from b4.solver import SolverConfig, initial_condition
 from b4.tsa import albano_dimension, largest_lyapunov
@@ -91,6 +93,40 @@ HENON_ANALYZE_SHA256 = {
 # 1,500 samples, and the divergence curve rises for 18 embedded steps
 # before it saturates, so lambda1 is fitted on the rising branch.
 LORENZ_STRIDED_SHA256 = "bf5156ed46ab07e82feed3f7a1d3e2d416c0304ff77b7803e01f572ddfff0f09"
+
+# bounds.csv and feasibility.csv of three seeded draws in the ranges of
+# the benchmark's scan (beta in [5.6, 6.2], a..d in [1e-6, 1e-5], a
+# square of side pi, 120,000 modes), then of the first draw on the
+# interval (N = 1), keyed by (seed, N).  Seeds 1 and 3 count fewer
+# unstable modes than the census holds, so their counts pin its pieces.
+SCAN_MODES = 120_000
+SCAN_SHA256 = {
+    (1, 2): {
+        "bounds.csv": "65195ce116140fd8af755d434a30df16d1376cf8774c4bed733677e7d9980e3d",
+        "feasibility.csv": "8b3b2d70025832570f47c053fc232b42ac6c7bc75d6b8c55d56055caef45557d",
+    },
+    (2, 2): {
+        "bounds.csv": "631f304609615803c6de6d58fe91ed2c1b6869f8688ee3f380d0f0e3438b8892",
+        "feasibility.csv": "e9844e24478ad7bc92718afbc3ee2b7fc0ed0158b343fb784fabc0f0cd8441ee",
+    },
+    (3, 2): {
+        "bounds.csv": "216cd472a20c4ef52cf2fb43cca1582cba87ecba9c826d125eb9e60677406630",
+        "feasibility.csv": "d4be326654af3d3b742eccd088926e5fd4c8528e3a59024459ddaaf1452a78e4",
+    },
+    (1, 1): {
+        "bounds.csv": "bdb6b3b3f02f6fca8fba36aa17c9cb19b46b98288f3720b7f0f35a055ca0fddc",
+        "feasibility.csv": "8b3b2d70025832570f47c053fc232b42ac6c7bc75d6b8c55d56055caef45557d",
+    },
+}
+
+
+def scan_config(seed, N):
+    rng = random.Random(seed)
+    keys = {"beta": rng.uniform(5.6, 6.2)}
+    for name in ("a", "b", "c", "d"):
+        keys[name] = rng.uniform(1e-6, 1e-5)
+    keys.update(Lx=math.pi, Ly=math.pi, N=N, max_modes=SCAN_MODES)
+    return parse_config("".join(f"{k} = {v!r}\n" for k, v in keys.items()))
 
 
 def sha256(data):
@@ -181,3 +217,9 @@ def test_strided_estimates_are_pinned():
     values = np.array([report.d, report.fit_r2, *report.singular_values, lam])
     data = b"".join(a.tobytes() for a in (values, report.radii, report.C))
     assert sha256(data) == LORENZ_STRIDED_SHA256
+
+
+def test_scan_outputs_are_pinned(tmp_path):
+    for (seed, N), want in SCAN_SHA256.items():
+        config = replace(scan_config(seed, N), out_dir=str(tmp_path / f"{seed}-{N}"))
+        assert digests(run_bounds(config) + run_feasibility(config)) == want, (seed, N)
