@@ -620,10 +620,10 @@ def run_bounds(config):
         config.N,
         config.Lx,
         None if config.N == 1 else config.Ly,
+        config.max_modes,
         K_prime=config.K_prime,
         K1=config.K1,
         C_upper=config.C_upper,
-        max_modes=config.max_modes,
     )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

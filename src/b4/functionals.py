@@ -1,7 +1,8 @@
 """Quadratic-form machinery controlling solution growth.
 
 The degree-n form hn_fields is a weighted multinomial in (u, v, w, z)
-whose weights come from three geometric-ratio coefficient sequences.
+whose weights come from three geometric-ratio coefficient sequences,
+passed around as one plain (theta, sigma, rho) triple of arrays.
 Its second-derivative structure produces, for each index triple
 (r, q, p), a symmetric 4x4 matrix whose positive definiteness makes the
 diffusive part of d/dt eval_Ln nonpositive.  Definiteness reduces to
@@ -33,9 +34,6 @@ class CouplingConstants:
     A24: float
     A34: float
 
-    def as_tuple(self):
-        return (self.A12, self.A13, self.A14, self.A23, self.A24, self.A34)
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -58,27 +56,6 @@ class ConditionReport:
     @property
     def all_pass(self):
         return self.cond1 and self.cond2 and self.cond3
-
-
-@dataclass(frozen=True)
-class CoefficientSequences:
-    """Three positive sequences with constant second-order ratio.
-
-    Each sequence obeys x[r] * x[r+2] / x[r+1]^2 == x2 for its generator
-    x2, which pins the sequence given a seed x0 and a first-ratio
-    constant C (consecutive ratios are C * x2**r).
-    """
-
-    theta: np.ndarray
-    sigma: np.ndarray
-    rho: np.ndarray
-    theta2: float
-    sigma2: float
-    rho2: float
-
-    @property
-    def n(self):
-        return len(self.theta) - 1
 
 
 @dataclass(frozen=True)
@@ -251,27 +228,12 @@ def default_sequence_generators(x2, n):
 
 
 def sequences_for_triple(triple, n):
-    """Ratio-below-one coefficient sequences for a generator triple."""
-    theta2, sigma2, rho2 = triple
-    t0, Ct = default_sequence_generators(theta2, n)
-    s0, Cs = default_sequence_generators(sigma2, n)
-    r0, Cr = default_sequence_generators(rho2, n)
-    return CoefficientSequences(
-        theta=build_sequences(t0, Ct, theta2, n),
-        sigma=build_sequences(s0, Cs, sigma2, n),
-        rho=build_sequences(r0, Cr, rho2, n),
-        theta2=theta2,
-        sigma2=sigma2,
-        rho2=rho2,
-    )
+    """The (theta, sigma, rho) sequences of length n+1 of a generator triple.
 
-
-def _seq_arrays(seqs):
-    """Accept CoefficientSequences or a plain (theta, sigma, rho) triple."""
-    if isinstance(seqs, CoefficientSequences):
-        return seqs.theta, seqs.sigma, seqs.rho
-    theta, sigma, rho = seqs
-    return np.asarray(theta, float), np.asarray(sigma, float), np.asarray(rho, float)
+    Each sequence x obeys x[r] * x[r+2] / x[r+1]^2 == x2 for its
+    generator x2, with every consecutive ratio below one.
+    """
+    return tuple(build_sequences(*default_sequence_generators(x2, n), x2, n) for x2 in triple)
 
 
 def shifted_sequences(seqs, dr, dq, dp):
@@ -280,7 +242,7 @@ def shifted_sequences(seqs, dr, dq, dp):
     Evaluating the degree-(n-1) or degree-(n-2) form on shifted
     sequences is how the derivative identities of the form are stated.
     """
-    theta, sigma, rho = _seq_arrays(seqs)
+    theta, sigma, rho = seqs
     return theta[dr:], sigma[dq:], rho[dp:]
 
 
@@ -291,7 +253,7 @@ def brqp_matrix(r, q, p, seqs, a, b, c, d):
     entries; off-diagonal entries carry the averaged diffusivities
     (x+y)/2.  Requires p+2 (and hence q+2, r+2) within sequence length.
     """
-    theta, sigma, rho = _seq_arrays(seqs)
+    theta, sigma, rho = seqs
     if not 0 <= r <= q <= p:
         raise IndexError(f"indices must satisfy 0 <= r <= q <= p, got {(r, q, p)}")
     if p + 2 >= len(rho) or q + 2 >= len(sigma) or r + 2 >= len(theta):
@@ -341,7 +303,7 @@ def hn_fields(u, v, w, z, seqs, n):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    theta, sigma, rho = _seq_arrays(seqs)
+    theta, sigma, rho = seqs
     if min(len(theta), len(sigma), len(rho)) < n + 1:
         raise ValueError(f"sequences too short for n={n}")
     u, v, w, z = (np.asarray(x, float) for x in (u, v, w, z))
@@ -366,7 +328,11 @@ def hn_fields(u, v, w, z, seqs, n):
 
 
 def eval_Ln(state, seqs, n):
-    """Grid integral of the degree-n form (midpoint quadrature)."""
+    """Grid integral of the degree-n form with uniform node weights.
+
+    Every node weighs dx*dy, the wall nodes too: nodes sit on the walls,
+    so this is not a midpoint rule.
+    """
     values = hn_fields(state.u, state.v, state.w, state.z, seqs, n)
     return float(values.sum() * state.dx * state.dy)
 

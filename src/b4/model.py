@@ -109,9 +109,6 @@ class GridState:
     w = property(lambda self: self.data[2])
     z = property(lambda self: self.data[3])
 
-    def fields(self):
-        return tuple(self.data)
-
 
 def validate_params(params):
     """Return the names of constants that violate strict positivity.

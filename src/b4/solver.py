@@ -5,27 +5,40 @@ space.  All four fields advance simultaneously from the previous
 state.  No-flux boundaries use ghost-node reflection (the ghost value
 mirrors the first interior node), zero boundaries use zero ghosts.
 
-The four fields live in one contiguous buffer, one ghost-padded grid
-after the other (``_Stencil``), in role order (u, w, v, z): the
-activators u, w in one block, the inhibitors v, z in the next.  So one
-``reaction_fields`` pass covers both Brusselator pairs, and a step is a
-fixed run of ufunc calls on views built once per run: it slices and
-allocates nothing.  The step runs chunk by chunk: the same whole padded
-rows of all four blocks, about STEP_BLOCK entries of each, so that a
-large grid's passes stay in cache.  A chunk's increment is added one
-chunk late, once the next chunk, which reads one row into it, has read
-the old state.  A small grid is one chunk, one flat span over all four
-fields, and its per-block constants are full blocks, since ufunc calls
-on small arrays take a broadcast column slower than a full operand; a
-large grid's chunks keep the columns, which stay in cache.  The padding
-is reset after every step, and then the blow-up check takes one dot
-product of the whole buffer with itself: every padding cell holds zero
-or a copy of a node, so its root bounds every node.  Only a step whose
-bound is not clearly below BLOWUP_LIMIT is checked node by node.  Every
-operation is elementwise and keeps its operand order (the Laplacian
-sums onto zero, x before y), so values are those of differencing each
-field on its own, bit for bit, whatever the chunks.  Everything outside
-``_Stencil`` sees the fields in (u, v, w, z) order.
+The step kernel's design, stated here once:
+
+- Layout.  The four fields live in one buffer, one ghost-padded grid
+  after the other (``_Stencil``), in role order (u, w, v, z), so one
+  ``reaction_fields`` pass covers both Brusselator pairs; everything
+  outside ``_Stencil`` sees (u, v, w, z).  A step is a fixed run of
+  ufunc calls on views built once per run, outputs passed positionally
+  and constants as 0-d arrays: it slices and allocates nothing.
+- Chunks and lag.  A step runs over chunks, the same whole padded rows
+  of all four blocks, about STEP_BLOCK entries of each, so that a large
+  grid's passes stay in cache.  A chunk reads one row past each end,
+  so its increment is added one chunk late, once the next chunk has
+  read the old state; two increment arrays alternate.
+- The lone chunk.  A block of at most STEP_BLOCK entries is one chunk,
+  one flat span from the first node of the first block to the last of
+  the last, whose per-block constants are full (4, P) arrays: small
+  ufunc calls take them faster than a broadcast (4, 1) column.  Longer
+  blocks keep the columns, which stay in cache (full arrays made the
+  200x200 step 9-16 % slower).
+- Blow-up precheck.  A chunk's passes also write the padding cells in
+  it; ``refresh`` resets them after the step, so that each holds zero
+  or a copy of a node and the root of one dot product of the buffer
+  with itself bounds every node.  A sum of n squares is off by at most
+  n 2**-53 of itself, under 1e-9 for any buffer in memory, so a root at
+  most BLOWUP_LIMIT less _PRECHECK_MARGIN of it passes the step.
+  Squares below 2**-1000 may underflow, so a limit below
+  _PRECHECK_FLOOR gets no precheck.  Any other root leaves the answer
+  to an exact check of the nodes.
+- Bit identity.  Every operation is elementwise and keeps its operand
+  order (the Laplacian sums onto zero, x before y, as differencing a
+  padded field axis by axis does), and each increment is the
+  expression of the old state that one pass over whole blocks takes.
+  So every value is that of each field on its own, bit for bit (signed
+  zeros included), whatever the chunks.
 """
 
 import contextlib
@@ -51,12 +64,8 @@ from .model import (
 BLOWUP_LIMIT = 1e12
 STEP_BLOCK = 8192  # about the entries of each block that one chunk of a step covers
 
-# A step passes the blow-up precheck when the root of the buffer's sum of
-# squares is at most BLOWUP_LIMIT less this fraction of it.  The sum of n
-# squares is off by at most n * 2**-53 of itself, under 1e-9 for any
-# buffer that fits in memory, so a root that passes bounds every
-# magnitude in the buffer.  Squares below 2**-1000 may lose their digits
-# to underflow, so a limit below 2**-500 gets no precheck.
+# The blow-up precheck's margin, as a share of BLOWUP_LIMIT, and the
+# smallest limit it serves (see the module docstring).
 _PRECHECK_MARGIN = 1e-6
 _PRECHECK_FLOOR = 2.0**-500
 
@@ -140,14 +149,13 @@ class _Chunk:
 
     ``state`` is the chunk's nodes in the buffer.  ``lap`` gets their
     Laplacian, then their increment; ``blocks`` is the same memory as
-    (4, ...) blocks, for the diffusivities.  ``twice`` and ``pair`` are
-    the scratch of the Laplacian, and the reaction writes its rates into
-    ``twice``.  ``axes`` holds (ahead, behind, h^2, onto) for each
-    direction of extent above one, where ``onto`` is what the
-    direction's term is added to: a 0-d zero for the first, ``lap``
-    after it.  ``reaction`` holds the arguments of the chunk's
-    ``reaction_fields`` pass (None without params).  ``rows`` are the
-    field rows the chunk holds and ``lap_nodes`` their nodes in ``lap``.
+    (4, ...) blocks.  ``twice`` and ``pair`` are the Laplacian's scratch,
+    and the reaction writes its rates into ``twice``.  ``axes`` holds
+    (ahead, behind, h^2, onto) per direction of extent above one, where
+    ``onto`` is a 0-d zero for the first and ``lap`` after it.
+    ``reaction`` holds the arguments of the chunk's ``reaction_fields``
+    pass (None without params).  ``rows`` are the field rows the chunk
+    holds and ``lap_nodes`` their nodes in ``lap``.
     """
 
     state: np.ndarray
@@ -171,37 +179,11 @@ class _Stencil:
     (gx, gy are 0 or 1).  ``fields`` is the interior view, in role
     order.  A neighbour is the entry ±1 or ±(ny + 2 gy) away.
 
-    A step runs over ``chunks``: the same range of whole padded rows in
-    all four blocks, about STEP_BLOCK entries of each, so that what one
-    chunk's ufunc calls read and write stays in cache.  A block of at
-    most STEP_BLOCK entries is one chunk, whose nodes run as one flat
-    span from the first interior node of the first block to the last of
-    the last, and whose reaction runs over whole blocks: every view is
-    contiguous.  Longer blocks split into chunks of whole interior rows,
-    (4, c) views.  A pass over a chunk also writes the padding cells
-    inside it; ``refresh`` restores them, so that every padding cell
-    holds zero or a copy of an interior value, and the blow-up check can
-    take the whole buffer.
-
-    Block size also sets the layout of the per-block constants, here and
-    only here: a lone chunk multiplies by full (4, P) arrays, which its
-    small ufunc calls take faster than a broadcast (4, 1) column, while
-    the chunks of a longer block keep the columns, which stay in cache
-    (full arrays made the 200x200 step 9-16 % slower).
-
-    The Laplacian sums each direction's scaled second difference onto
-    zero, x before y, in the operation order of padding each field and
-    differencing it axis by axis, so the result is that one bit for bit
-    (signed zeros included).  Given ``params``, the stencil also holds
-    ``diffusivities``, (a, c, b, d), one per block in role order, in
-    that layout, and each chunk the ``reaction_buffers`` of its rows,
-    whose exchange rates take it too.  The chunks' scratch is four
-    arrays of one chunk's size, made here, once: two increments, used in
-    turn, and the Laplacian's two; with several chunks, each of their
-    rows starts a cache line.  ``record`` and the exact blow-up
-    check share one array, as long as the fields.  Ufuncs get their
-    outputs positionally and constants as 0-d arrays: either is cheaper
-    per call than the alternative.
+    ``chunks`` are the step's chunks (see the module docstring), which
+    share two increments, used in turn, and the Laplacian's two scratch
+    arrays.  Given ``params``, the stencil holds ``diffusivities``,
+    (a, c, b, d), and each chunk the ``reaction_buffers`` of its rows.
+    ``record`` and the exact blow-up check share one array.
     """
 
     def __init__(self, data, dx, dy, bc, params=None):
@@ -393,23 +375,10 @@ def _advance(stencil, dt, k):
     """Step k of forward Euler, in place on the stencil's buffer.
 
     The stencil must have been built with the run's params; ``dt`` is a
-    float or, cheaper per ufunc call, a 0-d array.  All four fields
-    update from the same state, one chunk at a time: the chunk's
-    Laplacian, each block times its diffusivity, plus the reaction rates
-    of both pairs from one ``reaction_fields`` pass, times dt, go into
-    the chunk's increment.  Then the chunk before it gets its increment
-    added: a chunk reads one row past each end, so the rows before it
-    must still hold the old state when its increment is made, and this
-    lag of one chunk is enough.  The two increment arrays alternate, so
-    the one that waits is never overwritten.  Every value is the same
-    elementwise expression of the old state as in one pass over whole
-    blocks, so the chunk size never changes a bit.
-
-    Once the whole step is taken and ``refresh`` has reset the padding,
-    the step is checked for blow-up, once (``_in_range``): a NaN node,
-    or a magnitude above BLOWUP_LIMIT, read at every call, raises
-    BlowUpError.  Every operand is a view the stencil built, so nothing
-    is sliced or allocated.
+    float or a 0-d array.  Each chunk's increment, (diffusivity times
+    Laplacian plus reaction rates) times dt, is added one chunk late.
+    A NaN node, or one above BLOWUP_LIMIT (read at every call), after
+    the step raises BlowUpError.
     """
     column, behind = stencil.diffusivities, None
     for chunk in stencil.chunks:
@@ -438,16 +407,8 @@ def _advance(stencil, dt, k):
 
 
 def _in_range(stencil):
-    """Whether no node is NaN or above BLOWUP_LIMIT in magnitude.
-
-    Called after ``refresh``, when every padding cell is zero or a copy
-    of a node.  The precheck: the root of the whole buffer's sum of
-    squares bounds every node, so a root at most the limit less
-    _PRECHECK_MARGIN of it passes the step.  Any other root (a NaN or an
-    infinity, a sum that overflows, a root within the margin of the
-    limit, or any root under a limit below _PRECHECK_FLOOR) leaves the answer to the exact check of the
-    nodes alone, whose magnitudes go into the record array.
-    """
+    """Whether no node is NaN or above BLOWUP_LIMIT in magnitude, after
+    ``refresh``: the dot-product precheck, else an exact check of the nodes."""
     limit, buffer = BLOWUP_LIMIT, stencil.buffer
     bound = limit * (1.0 - _PRECHECK_MARGIN)
     if limit >= _PRECHECK_FLOOR and math.sqrt(np.dot(buffer, buffer)) <= bound:
@@ -474,13 +435,12 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, emit=None):
     one call per step: record is an ObservableRecord, snapshot a copy
     of the state, and either is None off its cadence.  Nothing is kept,
     so memory does not grow with the run; without emit, nothing is
-    taken.  Both start at step 0 of a
-    fresh run, and at the first step after step_offset of a resumed
-    one, whose start the earlier run emitted: the emissions of a run
-    and of its resumption concatenate to those of the uninterrupted
-    run.  t_end is mapped to the nearest whole step count,
-    cfg.total_steps, which must lie past step_offset.  Nothing is
-    emitted before every check has passed.
+    taken.  Both start at step 0 of a fresh run, and at the first step
+    after step_offset of a resumed one, whose start the earlier run
+    emitted: the emissions of a run and of its resumption concatenate
+    to those of the uninterrupted run.  t_end is mapped to the nearest
+    whole step count, cfg.total_steps, which must lie past step_offset.
+    Nothing is emitted before every check has passed.
     """
     limit = stability_limit(params, state0)
     if cfg.dt > limit:

@@ -48,8 +48,8 @@ class BoundReport:
     lower_bound_base: object
     lower: object
     upper: float
-    trace_unstable_count: int = None
-    full_unstable_count: int = None
+    trace_unstable_count: int
+    full_unstable_count: int
 
 
 def neumann_eigenvalues(Lx, Ly, count):
@@ -240,16 +240,16 @@ def lower_bound_base(params):
     return _trace_bracket(params) / (params.a + params.b + params.c + params.d)
 
 
-def dimension_bounds(params, N, Lx, Ly=None, K_prime=1, K1=1, C_upper=1, max_modes=None):
+def dimension_bounds(params, N, Lx, Ly, max_modes, K_prime=1, K1=1, C_upper=1):
     """Attractor-dimension bound report for the Lx x Ly rectangle.
 
     lower = K_prime * max(base, 0)^(N/2) with base from
     lower_bound_base; upper = (C_upper/K1)^(3/2) * |Omega| + 1, where
     |Omega| is Lx * Ly, or Lx for the interval that Ly=None gives.
     The upper-bound constants are user inputs (default 1): the formula
-    is exposed as an evaluator, not a claimed number.  When max_modes
-    is given the unstable-mode counts of that domain are filled in too.
-    Lx and Ly, when given, must be positive and finite.
+    is exposed as an evaluator, not a claimed number.  The report also
+    holds the unstable-mode counts of the first max_modes modes of the
+    domain.  Lx and Ly, when given, must be positive and finite.
     """
     if N not in (1, 2, 3):
         raise ValueError("N must be 1, 2 or 3")
@@ -268,9 +268,7 @@ def dimension_bounds(params, N, Lx, Ly=None, K_prime=1, K1=1, C_upper=1, max_mod
     volume = Lx if Ly is None else Lx * Ly
     upper = float(C_upper / K1) ** 1.5 * float(volume) + 1.0
 
-    trace_count = full_count = None
-    if max_modes is not None:
-        trace_count, full_count = unstable_mode_count(params, Lx, Ly, max_modes)
+    trace_count, full_count = unstable_mode_count(params, Lx, Ly, max_modes)
     return BoundReport(
         lower_bound_base=base,
         lower=lower,

@@ -210,15 +210,16 @@ def test_quadratic_form_positivity_suite():
     for _ in range(20):
         a, b, c, d = np.exp(rng.uniform(math.log(0.01), math.log(1.0), 4))
         A = coupling_constants(a, b, c, d)
-        seqs = sequences_for_triple(feasible_triple(A), n)
-        for arr in (seqs.theta, seqs.sigma, seqs.rho):
+        triple = feasible_triple(A)
+        seqs = sequences_for_triple(triple, n)
+        for arr in seqs:
             assert np.max(arr[1:] / arr[:-1]) < 1.0
         for p in range(n - 1):
             for q in range(p + 1):
                 for r in range(q + 1):
                     direct = sylvester_minors(brqp_matrix(r, q, p, seqs, a, b, c, d))
                     assert direct.all_positive, (r, q, p)
-                    closed = minor_closed_forms(r, q, p, seqs, a, b, c, d)
+                    closed = minor_closed_forms(r, q, p, triple, seqs, a, b, c, d)
                     assert abs(direct.d2 - closed.d2) <= 1e-9 * abs(closed.d2)
                     assert abs(direct.d3 - closed.d3) <= 1e-9 * abs(closed.d3)
 
@@ -258,7 +259,7 @@ def test_discretization_convergence_and_euler_oracle():
         state = step(state, params, dt)
         (f, h), (g, k) = pair_rates(scalar[::2], scalar[1::2], params)
         scalar = [x + dt * r for x, r in zip(scalar, (f, g, h, k))]
-    for field, x in zip(state.fields(), scalar):
+    for field, x in zip(state.data, scalar):
         assert np.max(field) - np.min(field) == 0.0
         assert np.max(np.abs(field - x)) <= 1e-12
 
@@ -302,7 +303,7 @@ def test_long_run_stays_bounded_and_positive(tmp_path):
 
     final_state, _, _, final_t = load_checkpoint(tmp_path / "long" / "checkpoint.ck")
     assert final_t == 10000.0
-    assert min(np.min(f) for f in final_state.fields()) >= -1e-12
+    assert min(np.min(f) for f in final_state.data) >= -1e-12
 
 
 def probe_window(state, t_end, probe, t_lo, sub):

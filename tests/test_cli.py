@@ -618,7 +618,7 @@ def test_run_bounds_matches_library_call(tmp_path):
     run_bounds(cfg)
     header, body = read_csv(tmp_path / "bounds.csv")
     assert header == ["base", "lower", "trace_count", "full_count", "upper"]
-    report = dimension_bounds(SystemParams(), 2, 500.0, 500.0, max_modes=150)
+    report = dimension_bounds(SystemParams(), 2, 500.0, 500.0, 150)
     row = body[0]
     assert float(row[0]) == float(report.lower_bound_base)
     assert float(row[1]) == float(report.lower)

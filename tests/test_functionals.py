@@ -1,10 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from b4.functionals import (
-    CoefficientSequences,
     MinorSet,
     _condition_terms,
     brqp_matrix,
@@ -23,17 +23,18 @@ from b4.functionals import (
 from b4.model import GridState
 
 
-def minor_closed_forms(r, q, p, seqs, a, b, c, d):
+def minor_closed_forms(r, q, p, triple, seqs, a, b, c, d):
     """Closed-form values of the four leading minors of brqp_matrix.
 
     Independent of the determinant expansion in sylvester_minors; used
-    to cross-check it.  Requires the sequences to carry generators
-    (CoefficientSequences), since the forms involve theta2/sigma2/rho2.
+    to cross-check it.  seqs must be sequences_for_triple(triple, n):
+    the forms involve the generators theta2, sigma2, rho2 of triple.
     """
     A = coupling_constants(a, b, c, d)
-    lam, vee, gam = _condition_terms(A, seqs.theta2, seqs.sigma2, seqs.rho2)
-    th, sg, rh = seqs.theta, seqs.sigma, seqs.rho
-    t = seqs.theta2 - A.A12**2
+    theta2, sigma2, rho2 = triple
+    lam, vee, gam = _condition_terms(A, theta2, sigma2, rho2)
+    th, sg, rh = seqs
+    t = theta2 - A.A12**2
     d1 = a * rh[p + 2] * sg[q + 2] * th[r + 2]
     d2 = a * b * rh[p + 2] ** 2 * sg[q + 2] ** 2 * th[r + 1] ** 2 * t
     d3 = (
@@ -77,7 +78,7 @@ def bordered_minor_parts(M):
 
 def test_coupling_constants_basics():
     A = coupling_constants(0.3, 0.3, 0.3, 0.3)
-    assert A.as_tuple() == (1.0,) * 6
+    assert astuple(A) == (1.0,) * 6
     assert coupling_constants(1, 4, 1, 4).A12 == 1.25
     got = coupling_constants(1e-6, 2e-6, 3e-6, 4e-6)
     assert got.A12 == pytest.approx(3 / (2 * math.sqrt(2)), rel=1e-12)
@@ -85,7 +86,7 @@ def test_coupling_constants_basics():
     rng = np.random.default_rng(3)
     for _ in range(100):
         a, b, c, d = rng.uniform(1e-3, 10, 4)
-        assert min(coupling_constants(a, b, c, d).as_tuple()) >= 1.0
+        assert min(astuple(coupling_constants(a, b, c, d))) >= 1.0
     with pytest.raises(ValueError):
         coupling_constants(1, 0, 1, 1)
 
@@ -183,12 +184,13 @@ def test_minor_closed_forms_match_determinants():
     for _ in range(5):
         a, b, c, d = np.exp(rng.uniform(np.log(0.01), np.log(1.0), 4))
         A = coupling_constants(a, b, c, d)
-        seqs = sequences_for_triple(feasible_triple(A), n)
+        triple = feasible_triple(A)
+        seqs = sequences_for_triple(triple, n)
         for p in range(n - 1):
             for q in range(p + 1):
                 for r in range(q + 1):
                     direct = sylvester_minors(brqp_matrix(r, q, p, seqs, a, b, c, d))
-                    closed = minor_closed_forms(r, q, p, seqs, a, b, c, d)
+                    closed = minor_closed_forms(r, q, p, triple, seqs, a, b, c, d)
                     assert direct.all_positive, (r, q, p)
                     for x, y in zip(direct.as_tuple(), closed.as_tuple()):
                         assert abs(x - y) <= 1e-9 * abs(y), (r, q, p)
@@ -369,10 +371,11 @@ def test_decay_monitor():
 
 def test_sequences_for_triple_returns_generators():
     triple = (4.0, 9.0, 2.5)
-    seqs = sequences_for_triple(triple, 6)
-    assert isinstance(seqs, CoefficientSequences)
-    assert seqs.n == 6
-    assert (seqs.theta2, seqs.sigma2, seqs.rho2) == triple
+    theta, sigma, rho = sequences_for_triple(triple, 6)
+    for seq, x2 in zip((theta, sigma, rho), triple):
+        assert seq.shape == (7,)
+        ratios = seq[:-2] * seq[2:] / seq[1:-1] ** 2
+        assert np.max(np.abs(ratios - x2)) <= 1e-12 * x2
     theta0, C_theta = default_sequence_generators(triple[0], 6)
-    assert seqs.theta[0] == pytest.approx(theta0)
-    assert seqs.theta[1] / seqs.theta[0] == pytest.approx(C_theta)
+    assert theta[0] == pytest.approx(theta0)
+    assert theta[1] / theta[0] == pytest.approx(C_theta)

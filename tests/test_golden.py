@@ -163,7 +163,7 @@ def test_chain_probe_series_and_final_fields_are_pinned():
     # (t, u, v, w, z) at every step, as a (481, 5) float64 array
     probe = np.array([(rec.t, *rec.probe_values.as_tuple()) for rec in records])
     assert sha256(probe.tobytes()) == CHAIN_PROBE_SHA256
-    final = b"".join(f.tobytes() for f in final_state.fields())
+    final = b"".join(f.tobytes() for f in final_state.data)
     assert sha256(final) == CHAIN_FINAL_SHA256
 
 

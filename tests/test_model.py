@@ -153,5 +153,5 @@ def test_geometry_rejects_empty_grids_and_non_finite_spacings():
     # the stacked array backs the field views
     st = GridState(3, 1, 1.0, 1.0, ones, 2 * ones, 3 * ones, 4 * ones)
     assert st.data.shape == (4, 3, 1)
-    assert all(np.shares_memory(f, st.data) for f in st.fields())
+    assert all(np.shares_memory(f, st.data) for f in (st.u, st.v, st.w, st.z))
     assert np.array_equal(st.z, 4 * ones)

@@ -10,6 +10,9 @@ Names resolve scope by scope as Python resolves them, from the module's
 ``symtable``, so a method, an attribute of some other object or a local
 variable of the same name (a loop or comprehension variable, say) does
 not count, and neither does a use inside the name's own definition.
+
+Every public member of a ``b4`` class, too (a dataclass field, a
+property or a method), is read as an attribute somewhere in ``b4``.
 """
 
 import ast
@@ -35,6 +38,23 @@ AWAITING_A_CALLER = {
 # does, each with the file of that caller.
 OUTSIDE_CALLERS = {
     "solver:laplacian": "perfbench/layertrace.py",
+}
+
+# Public class members that no code in the package reads yet, each with
+# the ROADMAP item that will read it.
+AWAITING_A_READER = {
+    "functionals:ConditionReport.margin1": "item 6",
+    "functionals:ConditionReport.margin2": "item 6",
+    "functionals:ConditionReport.margin3": "item 6",
+    "functionals:ConditionReport.all_pass": "item 6",
+    "functionals:DecayReport.absorbed": "item 4",
+    "functionals:DecayReport.plateau": "item 4",
+    "functionals:DecayReport.tail_max": "item 4",
+    "solver:ObservableRecord.mins": "item 6",
+    "solver:ObservableRecord.maxs": "item 6",
+    "tsa:DimensionReport.singular_values": "item 6",
+    "tsa:DimensionReport.takens_ok": "item 6",
+    "tsa:DimensionReport.kept_count": "item 6",
 }
 
 # The symbol-table name of each kind of comprehension.
@@ -160,8 +180,71 @@ def unreached_public_names(sources):
     ]
 
 
+def _member_names(item):
+    """The names one statement of a class body annotates, assigns or defines."""
+    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [item.name]
+    if isinstance(item, ast.Assign):
+        return [target.id for target in item.targets if isinstance(target, ast.Name)]
+    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+        return [item.target.id]
+    return []
+
+
+def unread_public_members(sources):
+    """``module:Class.member`` of every public member of a top-level class in
+    sources, a {module: source} dict of one package, that no code in the
+    package reads as an attribute.
+
+    The check goes by name alone: a read of ``anything.name`` counts for
+    every member called ``name``, so a name collision can hide an unread
+    member (a method ``fields`` would pass on the reads of a stencil's
+    ``fields``).  It never reports a member that is read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}:{cls.name}.{name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        for name in _member_names(item)
+        if not name.startswith("_") and name not in reads
+    ]
+
+
+def package_sources():
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_public_class_member_is_read_in_the_package():
+    assert sorted(unread_public_members(package_sources())) == sorted(AWAITING_A_READER)
+
+
+def test_an_unread_field_property_or_method_is_reported():
+    source = (
+        "class Box:\n"
+        "    size: int\n"
+        "    _hidden: int\n"
+        "    area = property(lambda self: self.size ** 2)\n\n"
+        "    def grow(self):\n"
+        "        return self.size + 1\n\n"
+        "    def _shrink(self):\n"
+        "        return self.size - 1\n"
+    )
+    assert sorted(unread_public_members({"m": source})) == ["m:Box.area", "m:Box.grow"]
+    use = "def g(box):\n    return box.area + box.grow()\n"
+    assert unread_public_members({"m": source, "n": use}) == []
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    sources = package_sources()
     unreached = unreached_public_names(sources)
     assert sorted(unreached) == sorted({**AWAITING_A_CALLER, **OUTSIDE_CALLERS})
     for name, caller in OUTSIDE_CALLERS.items():

@@ -171,7 +171,7 @@ def test_step_uniform_euler_hand_oracle():
 def test_step_keeps_stationary_state():
     state = uniform_state(stationary_solution(TABLE_PARAMS).as_tuple())
     out = step(state, TABLE_PARAMS, 1.0 / 24.0)
-    for before, after in zip(state.fields(), out.fields()):
+    for before, after in zip(state.data, out.data):
         assert np.array_equal(before, after)
 
 
@@ -199,7 +199,7 @@ def test_simulate_from_zero_initial_data():
     state = initial_condition(*grid, Point4(0, 0, 0, 0), 0.0, seed=1)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=2.0, record_every=12)
     records, final = simulate_records(state, TABLE_PARAMS, cfg)
-    assert all(np.all(np.isfinite(f)) for f in final.fields())
+    assert all(np.all(np.isfinite(f)) for f in final.data)
     assert np.all(final.u > 0) and np.all(final.w > 0)
     assert np.all(final.v > 0) and np.all(final.z > 0)
     for rec in records:
@@ -249,7 +249,7 @@ def test_simulate_deterministic():
     records2, final2 = simulate_records(initial_condition(*grid, base, 1e-3, 7), TABLE_PARAMS, cfg)
     assert len(records1) == 73
     assert records1 == records2
-    for f1, f2 in zip(final1.fields(), final2.fields()):
+    for f1, f2 in zip(final1.data, final2.data):
         assert np.array_equal(f1, f2)
 
 
@@ -289,7 +289,7 @@ def test_simulate_resume_is_bit_identical(tmp_path):
     loaded_state, loaded_params, step_index, _ = load_checkpoint(ck)
     rest, rest_final = simulate_records(loaded_state, loaded_params, full_cfg, step_index)
 
-    for f1, f2 in zip(full_final.fields(), rest_final.fields()):
+    for f1, f2 in zip(full_final.data, rest_final.data):
         assert np.array_equal(f1, f2)
     assert len(full) == 97
     assert half + rest == full
@@ -304,15 +304,15 @@ def test_initial_condition_contract():
     a = initial_condition(*grid, base, 1e-3, seed=4)
     b = initial_condition(*grid, base, 1e-3, seed=4)
     c = initial_condition(*grid, base, 1e-3, seed=5)
-    for f1, f2 in zip(a.fields(), b.fields()):
+    for f1, f2 in zip(a.data, b.data):
         assert np.array_equal(f1, f2)
-    assert any(not np.array_equal(f1, f3) for f1, f3 in zip(a.fields(), c.fields()))
-    for field, center in zip(a.fields(), base.as_tuple()):
+    assert any(not np.array_equal(f1, f3) for f1, f3 in zip(a.data, c.data))
+    for field, center in zip(a.data, base.as_tuple()):
         assert np.all(field >= center - 1e-3) and np.all(field <= center + 1e-3)
 
     clamped = initial_condition(*grid, Point4(0.01, 0.01, 0.01, 0.01), 1.0, seed=6)
-    assert all(np.all(f >= 0) for f in clamped.fields())
-    assert any(np.any(f == 0.0) for f in clamped.fields())
+    assert all(np.all(f >= 0) for f in clamped.data)
+    assert any(np.any(f == 0.0) for f in clamped.data)
 
     with pytest.raises(ValueError):
         initial_condition(*grid, base, -0.1, seed=0)
@@ -334,7 +334,7 @@ def test_checkpoint_roundtrip_and_validation(tmp_path):
         0.75,
         BC_DIRICHLET0,
     )
-    for f1, f2 in zip(state.fields(), loaded.fields()):
+    for f1, f2 in zip(state.data, loaded.data):
         assert np.array_equal(f1, f2)
 
     raw = bytearray(path.read_bytes())

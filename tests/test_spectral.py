@@ -200,40 +200,42 @@ def test_lower_bound_base_exact_rational():
 
 
 def test_dimension_bounds_report():
-    report = dimension_bounds(FRACTION_NINE, N=2, Lx=1, K_prime=Fraction(91, 100))
+    report = dimension_bounds(FRACTION_NINE, 2, 1, None, 20, K_prime=Fraction(91, 100))
     assert isinstance(report, BoundReport)
     assert report.lower_bound_base == 152390
     assert report.lower == Fraction(91 * 152390, 100)
-    assert report.trace_unstable_count is None
+    counts = (report.trace_unstable_count, report.full_unstable_count)
+    assert counts == unstable_mode_count(FRACTION_NINE, 1, None, 20)
 
-    flat = SystemParams(alpha=2, beta=5, D1=0, D2=0, D3=0, D4=0)
-    assert dimension_bounds(flat, N=2, Lx=1).lower == 0
+    flat = SystemParams(alpha=2, beta=5.5, D1=0.25, D2=0.25, D3=0.25, D4=0.25)
+    assert lower_bound_base(flat) == 0
+    assert dimension_bounds(flat, 2, 1, None, 1).lower == 0
 
-    damped = dimension_bounds(SystemParams(beta=1.0), N=2, Lx=1, K_prime=3.0)
+    damped = dimension_bounds(SystemParams(beta=1.0), 2, 1, None, 1, K_prime=3.0)
     assert damped.lower == 0
 
-    up = dimension_bounds(SystemParams(), N=1, Lx=2.0, C_upper=4.0, K1=1.0)
+    up = dimension_bounds(SystemParams(), 1, 2.0, None, 1, C_upper=4.0, K1=1.0)
     assert up.upper == pytest.approx(4.0**1.5 * 2.0 + 1.0, rel=1e-12)
-    sheet = dimension_bounds(SystemParams(), N=2, Lx=2.0, Ly=3.0, C_upper=4.0, K1=1.0)
+    sheet = dimension_bounds(SystemParams(), 2, 2.0, 3.0, 1, C_upper=4.0, K1=1.0)
     assert sheet.upper == pytest.approx(4.0**1.5 * 6.0 + 1.0, rel=1e-12)
 
     with pytest.raises(ValueError):
-        dimension_bounds(SystemParams(), N=4, Lx=1)
+        dimension_bounds(SystemParams(), 4, 1, None, 1)
     with pytest.raises(ValueError):
-        dimension_bounds(SystemParams(), N=2, Lx=1, K1=0.0)
+        dimension_bounds(SystemParams(), 2, 1, None, 1, K1=0.0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
-@pytest.mark.parametrize("max_modes", [None, 50])
+@pytest.mark.parametrize("max_modes", [1, 50])
 def test_dimension_bounds_rejects_lengths_that_are_not_positive_and_finite(bad, max_modes):
     for Lx, Ly in ((bad, 2.0), (2.0, bad), (bad, None)):
         with pytest.raises(ValueError, match="positive and finite"):
-            dimension_bounds(SystemParams(), 2, Lx, Ly, max_modes=max_modes)
+            dimension_bounds(SystemParams(), 2, Lx, Ly, max_modes)
 
 
 def test_dimension_bounds_with_mode_counts():
     p = SystemParams(beta=5.9, a=0.1, b=0.1, c=0.1, d=0.1)
-    report = dimension_bounds(p, N=2, Lx=math.pi, Ly=math.pi, max_modes=50)
+    report = dimension_bounds(p, 2, math.pi, math.pi, 50)
     want = unstable_mode_count(p, math.pi, math.pi, 50)
     assert (report.trace_unstable_count, report.full_unstable_count) == want
 
