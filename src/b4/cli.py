@@ -14,7 +14,7 @@ def _cap_threads():
     cap = os.environ.get("B4_THREADS")
     if cap is None:
         return None
-    if not cap.isdigit() or int(cap) < 1:
+    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         return f"B4_THREADS must be a positive integer, got {cap!r}"
     for var in (
         "OMP_NUM_THREADS",
@@ -211,7 +211,11 @@ def parse_config(text):
 
 
 def serialize(config):
-    """Render a RunConfig as config text; parse_config round-trips it."""
+    """Render a RunConfig as config text; parse_config round-trips it.
+
+    A str value that would not parse back, one with a ``#``, a line
+    break or surrounding blanks, raises ValueError naming its key.
+    """
     lines = []
     for name in _KEYS:
         value = getattr(config, name)
@@ -221,6 +225,8 @@ def serialize(config):
             text = repr(value)
         else:
             text = str(value)
+        if "#" in text or text.strip() != text or len(text.splitlines()) > 1:
+            raise ValueError(f"{name} = {text!r} does not survive a round trip as config text")
         lines.append(f"{name} = {text}")
     return "\n".join(lines) + "\n"
 
@@ -271,8 +277,9 @@ def _kept_end(path, keep, t=None, probe=None):
 def _csv_rows(path, header, at=None):
     """Open path under a header, and yield a function that writes one row.
 
-    The file is new, or, with ``at`` set, from ``_kept_end``, it keeps
-    its first ``at`` bytes, is cut there, and gets the rows after them.
+    The file is new, and its directory is made if need be; or, with
+    ``at`` set (from ``_kept_end``), it keeps its first ``at`` bytes, is
+    cut there, and gets the rows after them.
 
     Each value is typed on its own, not by its column: a bool is written
     as true or false, a str as it is, an integer (numpy's too) in full,
@@ -289,7 +296,9 @@ def _csv_rows(path, header, at=None):
             row = [("false", "true")[v] if type(v) is bool else v for v in row]
         fh.write(formats[kinds] % tuple(row))
 
-    if at is not None:
+    if at is None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    else:
         os.truncate(path, at)
     with open(path, "w" if at is None else "a") as fh:
         if at is None:
@@ -298,10 +307,11 @@ def _csv_rows(path, header, at=None):
 
 
 def _write_csv(path, header, rows):
-    """Write rows under a header into a new file (``_csv_rows``)."""
+    """Write rows under a header into a new file (``_csv_rows``) and return its path."""
     with _csv_rows(path, header) as write:
         for row in rows:
             write(row)
+    return path
 
 
 def _snapshot_name(t):
@@ -396,12 +406,11 @@ def run_simulate(config):
         if record is not None:
             t, l2 = record.t, record.l2_norms
             k2 = l2[1] ** 2 + delta * l2[3] ** 2
-            writers[0]((t, *record.probe_values.as_tuple()))
+            writers[0]((t, *record.probe_values))
             writers[1]((t, *l2, *record.grad_l2_norms, sum(x * x for x in l2), k2))
         if snapshot is not None:
             path = out / _snapshot_name(step_index * dt)
-            _write_csv(path, ["x", "y", "u", "v", "w", "z"], _snapshot_rows(snapshot))
-            written.append(path)
+            written.append(_write_csv(path, "x,y,u,v,w,z".split(","), _snapshot_rows(snapshot)))
 
     resuming = bool(config.resume_from)
     try:
@@ -456,7 +465,6 @@ def run_simulate(config):
             norms_end = _kept_end(norms_path, kept + 1, t_kept)
         # Weight of the second oscillator pair in the paired-norm monitor.
         delta = params.D2 / params.D4
-        out.mkdir(parents=True, exist_ok=True)
         with contextlib.ExitStack() as files:
             try:
                 final = simulate(state, params, run, start_step, config.snapshot_every, emit)
@@ -508,100 +516,77 @@ def _read_series(path, column):
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read series file: {exc}") from None
-    numbered = [
-        (n, line.strip())
-        for n, line in enumerate(text.splitlines(), 1)
-        if line.strip()
-    ]
+    numbered = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not numbered:
         raise ConfigError(f"series file {path} is empty")
 
-    first_tokens = [tok.strip() for tok in numbered[0][1].split(",")]
-    if _all_floats(first_tokens):
-        if len(first_tokens) != 1:
-            raise ConfigError(
-                f"{path}: headerless series files must have a single column"
-            )
-        col, tcol, width = 0, None, 1
-        data = numbered
+    header = [tok.strip() for tok in numbered[0][1].split(",")]
+    if _all_floats(header):
+        if len(header) != 1:
+            raise ConfigError(f"{path}: headerless series files must have a single column")
+        columns, data = [0], numbered
     else:
-        header = first_tokens
         if column not in header:
             raise ConfigError(f"column {column!r} not found in {path} header {header}")
-        col = header.index(column)
-        tcol = header.index("t") if "t" in header else None
-        width = len(header)
+        columns = [header.index(c) for c in (column, "t") if c in header]
         data = numbered[1:]
 
-    values = np.empty(len(data))
-    times = np.empty(len(data)) if tcol is not None else None
+    # The value column, then t if the file has one; column-major, so
+    # each column is one contiguous series.
+    table = np.empty((len(data), len(columns)), order="F")
     for k, (lineno, line) in enumerate(data):
         tokens = line.split(",")
-        if len(tokens) != width:
+        if len(tokens) != len(header):
             raise ConfigError(
-                f"{path} row {lineno}: expected {width} columns, got {len(tokens)}"
+                f"{path} row {lineno}: expected {len(header)} columns, got {len(tokens)}"
             )
         try:
-            values[k] = float(tokens[col])
-            if times is not None:
-                times[k] = float(tokens[tcol])
+            table[k] = [float(tokens[c]) for c in columns]
         except ValueError:
-            raise ConfigError(
-                f"{path} row {lineno}: non-numeric value in {line!r}"
-            ) from None
-    finite = np.isfinite(values)
-    if times is not None:
-        finite &= np.isfinite(times)
+            raise ConfigError(f"{path} row {lineno}: non-numeric value in {line!r}") from None
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         lineno, line = data[int(np.argmin(finite))]
         raise ConfigError(f"{path} row {lineno}: non-finite value in {line!r}")
 
     interval = 1.0
-    if times is not None and times.size >= 2:
-        steps = np.diff(times)
+    if len(columns) == 2 and len(data) >= 2:
+        steps = np.diff(table[:, 1])
         if not (steps > 0).all():
             lineno, line = data[int(np.argmin(steps > 0)) + 1]
             raise ConfigError(
-                f"{path} row {lineno}: time column must be strictly increasing, "
-                f"got {line!r}"
+                f"{path} row {lineno}: time column must be strictly increasing, got {line!r}"
             )
         interval = float(np.median(steps))
-    return values, interval
+    return table[:, 0], interval
 
 
-def run_analyze(series_file, config):
+def run_analyze(config):
     """Run the full series pipeline and write acf/cint/report CSVs.
 
-    ``series_file`` falls back to probe.csv in the output directory.
-    The series must hold at least 1000 samples.  Returns the written
-    paths.
+    The series is ``config.series_file``, or probe.csv in the output
+    directory when that is empty, and must hold at least 1000 samples.
+    Returns the written paths.
     """
-    path = Path(series_file) if series_file else Path(config.out_dir) / "probe.csv"
-    x, file_dt = _read_series(path, config.series_column)
+    out = Path(config.out_dir)
+    x, file_dt = _read_series(Path(config.series_file or out / "probe.csv"), config.series_column)
     if x.size < 1000:
         raise ConfigError(f"need at least 1000 samples to analyze, got {x.size}")
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = albano_dimension(x, config.analysis_config())
-    acf_path = out / "acf.csv"
-    _write_csv(acf_path, ["lag", "acf"], enumerate(report.acf.tolist()))
-    cint_path = out / "cint.csv"
     cint_rows = [
         (r, c, math.log10(r), math.log10(c) if c > 0 else math.nan)
         for r, c in zip(report.radii.tolist(), report.C.tolist())
     ]
-    _write_csv(cint_path, ["r", "C", "log10_r", "log10_C"], cint_rows)
-
+    written = [
+        _write_csv(out / "acf.csv", ["lag", "acf"], enumerate(report.acf.tolist())),
+        _write_csv(out / "cint.csv", ["r", "C", "log10_r", "log10_C"], cint_rows),
+    ]
     lam = largest_lyapunov(report.embedding, file_dt, config.theiler)
-    report_path = out / "report.csv"
     r_lo, r_hi = report.scaling_region
-    _write_csv(
-        report_path,
-        ["d", "m", "tau", "r_lo", "r_hi", "fit_r2", "lambda1"],
-        [(report.d, report.m_used, report.tau, r_lo, r_hi, report.fit_r2, lam)],
-    )
-    return [acf_path, cint_path, report_path]
+    row = (report.d, report.m_used, report.tau, r_lo, r_hi, report.fit_r2, lam)
+    header = ["d", "m", "tau", "r_lo", "r_hi", "fit_r2", "lambda1"]
+    return written + [_write_csv(out / "report.csv", header, [row])]
 
 
 def run_bounds(config):
@@ -625,23 +610,15 @@ def run_bounds(config):
         K1=config.K1,
         C_upper=config.C_upper,
     )
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "bounds.csv"
-    _write_csv(
-        path,
-        ["base", "lower", "trace_count", "full_count", "upper"],
-        [
-            (
-                float(report.lower_bound_base),
-                float(report.lower),
-                report.trace_unstable_count,
-                report.full_unstable_count,
-                report.upper,
-            )
-        ],
+    row = (
+        float(report.lower_bound_base),
+        float(report.lower),
+        report.trace_unstable_count,
+        report.full_unstable_count,
+        report.upper,
     )
-    return [path]
+    header = ["base", "lower", "trace_count", "full_count", "upper"]
+    return [_write_csv(Path(config.out_dir) / "bounds.csv", header, [row])]
 
 
 def run_feasibility(config):
@@ -654,35 +631,17 @@ def run_feasibility(config):
     params = config.system_params()
     A = coupling_constants(params.a, params.b, params.c, params.d)
     triple = feasible_triple(A)
-    theta2, sigma2, rho2 = triple
     seqs = sequences_for_triple(triple, 6)
     ok = True
     for p in range(5):
         for q in range(p + 1):
             for r in range(q + 1):
                 matrix = brqp_matrix(r, q, p, seqs, params.a, params.b, params.c, params.d)
-                ok = ok and sylvester_minors(matrix).all_positive
-
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "feasibility.csv"
-    _write_csv(
-        path,
-        [
-            "A12",
-            "A13",
-            "A14",
-            "A23",
-            "A24",
-            "A34",
-            "theta2",
-            "sigma2",
-            "rho2",
-            "all_minors_positive",
-        ],
-        [(A.A12, A.A13, A.A14, A.A23, A.A24, A.A34, theta2, sigma2, rho2, ok)],
-    )
-    return [path]
+                # all(), not min(): a NaN minor anywhere fails the sweep.
+                ok = ok and all(m > 0 for m in sylvester_minors(matrix))
+    row = (A.A12, A.A13, A.A14, A.A23, A.A24, A.A34, *triple, ok)
+    header = "A12,A13,A14,A23,A24,A34,theta2,sigma2,rho2,all_minors_positive".split(",")
+    return [_write_csv(Path(config.out_dir) / "feasibility.csv", header, [row])]
 
 
 def _build_parser():
@@ -734,27 +693,16 @@ def main(argv=None):
     except OSError as exc:
         print(f"b4: cannot read config: {exc}", file=sys.stderr)
         return 1
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        print(f"b4: {exc}", file=sys.stderr)
-        return 1
-
-    if overrides:
-        config = replace(config, **overrides)
-
+    # Built at each call, so the runners are looked up when they run.
     runners = {
-        "simulate": lambda: run_simulate(config),
-        "analyze": lambda: run_analyze(config.series_file, config),
-        "bounds": lambda: run_bounds(config),
-        "feasibility": lambda: run_feasibility(config),
+        "simulate": run_simulate,
+        "analyze": run_analyze,
+        "bounds": run_bounds,
+        "feasibility": run_feasibility,
     }
     try:
-        files = runners[args.command]()
-    except ConfigError as exc:
-        print(f"b4: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        files = runners[args.command](replace(parse_config(text), **overrides))
+    except (ConfigError, OSError) as exc:
         print(f"b4: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

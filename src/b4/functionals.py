@@ -58,24 +58,6 @@ class ConditionReport:
         return self.cond1 and self.cond2 and self.cond3
 
 
-@dataclass(frozen=True)
-class MinorSet:
-    """Leading principal minors of a symmetric 4x4 matrix.  All four
-    positive is equivalent to positive definiteness (Sylvester)."""
-
-    d1: float
-    d2: float
-    d3: float
-    d4: float
-
-    def as_tuple(self):
-        return (self.d1, self.d2, self.d3, self.d4)
-
-    @property
-    def all_positive(self):
-        return all(x > 0 for x in self.as_tuple())
-
-
 class InfeasibleError(RuntimeError):
     """Raised when the generator-triple search exceeds its growth cap."""
 
@@ -273,10 +255,11 @@ def brqp_matrix(r, q, p, seqs, a, b, c, d):
 
 
 def sylvester_minors(M):
-    """Leading principal minors of a symmetric 4x4 matrix.
+    """Leading principal minors (d1, d2, d3, d4) of a symmetric 4x4 matrix.
 
-    Rejects inputs whose asymmetry exceeds 1e-10 relative to the
-    largest entry; definiteness via minors only makes sense for
+    All four positive is equivalent to positive definiteness
+    (Sylvester).  Rejects inputs whose asymmetry exceeds 1e-10 relative
+    to the largest entry; definiteness via minors only makes sense for
     symmetric matrices.
     """
     M = np.asarray(M, float)
@@ -285,11 +268,11 @@ def sylvester_minors(M):
     scale = np.max(np.abs(M))
     if scale > 0 and np.max(np.abs(M - M.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    return MinorSet(
-        d1=float(M[0, 0]),
-        d2=float(np.linalg.det(M[:2, :2])),
-        d3=float(np.linalg.det(M[:3, :3])),
-        d4=float(np.linalg.det(M)),
+    return (
+        float(M[0, 0]),
+        float(np.linalg.det(M[:2, :2])),
+        float(np.linalg.det(M[:3, :3])),
+        float(np.linalg.det(M)),
     )
 
 

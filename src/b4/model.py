@@ -40,25 +40,6 @@ class SystemParams:
     d: float = 1e-6
 
 
-@dataclass(frozen=True)
-class Point4:
-    """One concentration state (u, v, w, z).  Entries must be finite;
-    negative values are allowed so the type can also hold perturbations."""
-
-    u: float
-    v: float
-    w: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("u", "v", "w", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite component {name!r}")
-
-    def as_tuple(self):
-        return (self.u, self.v, self.w, self.z)
-
-
 def check_geometry(nx, ny, dx, dy, bc):
     """Raise ValueError unless the extents, spacings and boundary tag are usable."""
     if nx < 1 or ny < 1:
@@ -110,17 +91,12 @@ class GridState:
     z = property(lambda self: self.data[3])
 
 
-def validate_params(params):
-    """Return the names of constants that violate strict positivity.
-
-    An empty list means the parameter set is valid.  NaNs fail too.
-    """
-    bad = []
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if not (math.isfinite(value) and value > 0):
-            bad.append(f.name)
-    return bad
+def check_params(params):
+    """Raise ValueError naming every constant that is not positive and finite."""
+    values = {f.name: getattr(params, f.name) for f in fields(params)}
+    bad = [name for name, v in values.items() if not (math.isfinite(v) and v > 0)]
+    if bad:
+        raise ValueError(f"invalid parameters: {', '.join(bad)}")
 
 
 def reaction_buffers(activators, inhibitors, rates, work, params, layout):
@@ -195,8 +171,12 @@ def reaction_fields(activators, inhibitors, buffers):
 
 
 def stationary_solution(params):
-    """The spatially uniform steady state (alpha, beta/alpha, alpha, beta/alpha)."""
+    """The spatially uniform steady state (alpha, beta/alpha, alpha, beta/alpha),
+    as a (u, v, w, z) tuple of finite values."""
     if params.alpha <= 0:
         raise ValueError("alpha must be positive")
-    ratio = params.beta / params.alpha
-    return Point4(params.alpha, ratio, params.alpha, ratio)
+    point = (params.alpha, params.beta / params.alpha) * 2
+    for name, value in zip("uvwz", point):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite component {name!r}")
+    return point

@@ -53,12 +53,11 @@ from .model import (
     BC_DIRICHLET0,
     BC_NEUMANN,
     GridState,
-    Point4,
     SystemParams,
     check_geometry,
+    check_params,
     reaction_buffers,
     reaction_fields,
-    validate_params,
 )
 
 BLOWUP_LIMIT = 1e12
@@ -118,7 +117,7 @@ class SolverConfig:
 @dataclass(frozen=True)
 class ObservableRecord:
     t: float
-    probe_values: Point4
+    probe_values: tuple
     l2_norms: tuple
     grad_l2_norms: tuple
     mins: tuple
@@ -326,7 +325,7 @@ class _Stencil:
         cell = dx * dy
         return ObservableRecord(
             t=t,
-            probe_values=Point4(*_swap_roles(fields[:, ix, iy].tolist())),
+            probe_values=_swap_roles(fields[:, ix, iy].tolist()),
             l2_norms=_swap_roles([math.sqrt(s * cell) for s in l2.tolist()]),
             grad_l2_norms=_swap_roles([math.sqrt(g * dx * dy) for g in grad]),
             mins=_swap_roles(fields.min(axis=(1, 2)).tolist()),
@@ -357,9 +356,7 @@ def stability_limit(params, state):
     extent one has no neighbours, so it adds no bound.  The reaction
     bound is a conservative linearization scale.
     """
-    bad = validate_params(params)
-    if bad:
-        raise ValueError(f"invalid parameters: {', '.join(bad)}")
+    check_params(params)
     inv_h2 = (1.0 / state.dx**2 if state.nx > 1 else 0.0) + (
         1.0 / state.dy**2 if state.ny > 1 else 0.0
     )
@@ -485,7 +482,7 @@ def initial_condition(nx, ny, dx, dy, base, amplitude, seed, bc=BC_NEUMANN):
     noise = rng.uniform(-1.0, 1.0, size=(4, nx, ny))
     fields = [
         np.maximum(component + amplitude * noise[i], 0.0)
-        for i, component in enumerate(base.as_tuple())
+        for i, component in enumerate(base)
     ]
     return GridState(nx, ny, dx, dy, *fields, bc=bc)
 
@@ -530,7 +527,12 @@ def save_checkpoint(path, state, params, step_index, t):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: (state, params, step_index, t)."""
+    """Inverse of save_checkpoint: (state, params, step_index, t).
+
+    A file that save_checkpoint could not have written from a run
+    raises ValueError: a bad header, geometry or size, a negative step
+    index, or a field value that is NaN or infinite.
+    """
     header_size = _CHECKPOINT_HEADER.size
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -554,7 +556,11 @@ def load_checkpoint(path):
     count = 4 * nx * ny
     if len(raw) != header_size + count * 8:
         raise ValueError("checkpoint payload size mismatch")
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=header_size)
+    data = np.frombuffer(raw, dtype="<f8", count=count, offset=header_size).reshape(4, nx, ny)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        field, ix, iy = bad[0].tolist()
+        raise ValueError(f"checkpoint field {'uvwz'[field]!r} is not finite at node ({ix}, {iy})")
     params = SystemParams(**dict(zip(_PARAM_ORDER, values)))
-    state = GridState(nx, ny, dx, dy, *data.reshape(4, nx, ny), bc=_BC_NAMES[bc_code])
+    state = GridState(nx, ny, dx, dy, *data, bc=_BC_NAMES[bc_code])
     return state, params, step_index, t

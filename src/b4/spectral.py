@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import validate_params
+from .model import check_params
 
 # Modes where |c4| or the Hurwitz determinant falls below this share of
 # size^4 or size^6 get their own eigenvalue test; size bounds every
@@ -184,9 +184,7 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
     """
     if max_modes < 1:
         raise ValueError("max_modes must be at least 1")
-    bad = validate_params(params)
-    if bad:
-        raise ValueError(f"invalid parameters: {', '.join(bad)}")
+    check_params(params)
     mus = neumann_eigenvalues(Lx, Ly, max_modes)
     rate_sum = float(params.a + params.b + params.c + params.d)
     bracket = float(_trace_bracket(params))

@@ -22,7 +22,7 @@ from b4.cli import (
     run_simulate,
     serialize,
 )
-from b4.model import SystemParams, stationary_solution
+from b4.model import GridState, SystemParams, stationary_solution
 from b4.solver import initial_condition, load_checkpoint, save_checkpoint
 from b4.spectral import dimension_bounds
 
@@ -348,6 +348,27 @@ def test_resume_from_a_negative_step_is_a_config_error(tmp_path, capsys):
     assert directory_bytes(out) == before
 
 
+@pytest.mark.parametrize("step", [240, 0])
+def test_resume_from_a_non_finite_checkpoint_is_a_config_error(tmp_path, capsys, step):
+    # Left to the solver, a NaN node reads as a blow-up (exit 2), and from
+    # step 0 only after probe.csv and norms.csv have been written afresh.
+    out = tmp_path / "out"
+    run_simulate(parse_config(chain_text(out, 10)))
+    before = directory_bytes(out)
+    state, params, _, _ = load_checkpoint(out / "checkpoint.ck")
+    data = state.data.copy()
+    data[1, 7, 0] = np.nan
+    ck = tmp_path / "nan.ck"
+    state = GridState(20, 1, state.dx, state.dy, *data)
+    save_checkpoint(ck, state, params, step, step * (1.0 / 24.0))
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text(chain_text(out, 20, f"resume_from = {ck}\n"))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "field 'v' is not finite at node (7, 0)" in capsys.readouterr().err
+    assert directory_bytes(out) == before
+
+
 def test_blow_up_leaves_the_rows_before_the_failing_step(tmp_path, capsys):
     # The 1x1 kinetics at beta = 9 and dt = 1/24 blow up at step 200, so the
     # record steps 0, 24, ..., 192 and the snapshot steps 0, 96, 192 are kept.
@@ -488,11 +509,15 @@ def sine_file(path, n=2000, sample_dt=1.0, period=100.0):
     path.write_text("\n".join(rows) + "\n")
 
 
+def analyze_file(series, cfg):
+    return run_analyze(dataclasses.replace(cfg, series_file=str(series)))
+
+
 def test_run_analyze_sine_outputs(tmp_path):
     series = tmp_path / "sine.csv"
     sine_file(series, n=2500)
     cfg = parse_config(f"out_dir = {tmp_path / 'an'}\n")
-    files = run_analyze(series, cfg)
+    files = analyze_file(series, cfg)
     assert [p.name for p in files] == ["acf.csv", "cint.csv", "report.csv"]
 
     header, body = read_csv(tmp_path / "an" / "acf.csv")
@@ -531,7 +556,7 @@ def test_run_analyze_computes_each_result_once(tmp_path, monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     series = tmp_path / "sine.csv"
     sine_file(series, n=2500)
-    run_analyze(series, parse_config(f"out_dir = {tmp_path / 'an'}\n"))
+    analyze_file(series, parse_config(f"out_dir = {tmp_path / 'an'}\n"))
     assert calls["autocorrelation"] == 1
     assert calls["embed"] == calls["correlation_integral"] > 0
 
@@ -548,9 +573,9 @@ def test_run_analyze_scales_lyapunov_by_sample_interval(tmp_path):
         rows = ["t,u"] + [f"{a:.17g},{b:.17g}" for a, b in zip(t, x)]
         path.write_text("\n".join(rows) + "\n")
     cfg = parse_config(f"out_dir = {tmp_path / 'an'}\n")
-    run_analyze(fast, cfg)
+    analyze_file(fast, cfg)
     lam_fast = float(read_csv(tmp_path / "an" / "report.csv")[1][0][6])
-    run_analyze(slow, cfg)
+    analyze_file(slow, cfg)
     lam_slow = float(read_csv(tmp_path / "an" / "report.csv")[1][0][6])
     assert lam_slow == pytest.approx(2.0 * lam_fast, rel=1e-12)
     assert abs(lam_fast - math.log(2.0)) < 0.05
@@ -561,7 +586,7 @@ def test_run_analyze_headerless_single_column(tmp_path):
     x = np.sin(2.0 * np.pi * np.arange(1500) / 100.0)
     series.write_text("\n".join(f"{v:.17g}" for v in x) + "\n")
     cfg = parse_config(f"out_dir = {tmp_path / 'an'}\n")
-    files = run_analyze(series, cfg)
+    files = analyze_file(series, cfg)
     assert (tmp_path / "an" / "report.csv") in files
 
 
@@ -571,32 +596,32 @@ def test_run_analyze_input_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ConfigError, match="empty"):
-        run_analyze(empty, cfg)
+        analyze_file(empty, cfg)
 
     short = tmp_path / "short.csv"
     short.write_text("u\n" + "\n".join(str(i) for i in range(10)) + "\n")
     with pytest.raises(ConfigError, match="1000 samples"):
-        run_analyze(short, cfg)
+        analyze_file(short, cfg)
 
     bad_row = tmp_path / "bad.csv"
     bad_row.write_text("t,u\n0,1.0\n1,oops\n2,2.0\n")
     with pytest.raises(ConfigError, match="row 3"):
-        run_analyze(bad_row, cfg)
+        analyze_file(bad_row, cfg)
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("t,u\n0,1.0\n1\n")
     with pytest.raises(ConfigError, match="row 3.*2 columns"):
-        run_analyze(ragged, cfg)
+        analyze_file(ragged, cfg)
 
     missing_col = tmp_path / "cols.csv"
     missing_col.write_text("t,v\n0,1.0\n")
     with pytest.raises(ConfigError, match="column 'u' not found"):
-        run_analyze(missing_col, cfg)
+        analyze_file(missing_col, cfg)
 
     multi = tmp_path / "multi.txt"
     multi.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ConfigError, match="single column"):
-        run_analyze(multi, cfg)
+        analyze_file(multi, cfg)
 
     backwards = tmp_path / "backwards.csv"
     t = 0.5 * np.arange(1200)
@@ -604,13 +629,13 @@ def test_run_analyze_input_errors(tmp_path):
     rows = [f"{a!r},{math.sin(a)!r}" for a in t.tolist()]
     backwards.write_text("t,u\n" + "\n".join(rows) + "\n")
     with pytest.raises(ConfigError, match="row 602: time column must be strictly increasing"):
-        run_analyze(backwards, cfg)
+        analyze_file(backwards, cfg)
 
     for row in ("1,nan", "1,inf", "1,-inf", "nan,1.0"):
         non_finite = tmp_path / "non_finite.csv"
         non_finite.write_text(f"t,u\n0,1.0\n{row}\n2,2.0\n")
         with pytest.raises(ConfigError, match=f"row 3: non-finite value in '{row}'"):
-            run_analyze(non_finite, cfg)
+            analyze_file(non_finite, cfg)
 
 
 def test_run_bounds_matches_library_call(tmp_path):
@@ -720,22 +745,34 @@ def test_thread_cap(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "3"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
-    monkeypatch.setenv("B4_THREADS", "zero")
-    assert "positive integer" in cli._cap_threads()
+    # Only ASCII digits: int() rejects "²" and reads "٣" as 3.
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    for cap in ("zero", "\u00b2", "\u0663"):
+        monkeypatch.setenv("B4_THREADS", cap)
+        assert "positive integer" in cli._cap_threads()
+    assert "OMP_NUM_THREADS" not in os.environ
+    proc = run_module(["--help"], B4_THREADS="\u00b2")
+    assert proc.returncode == 1
+    assert proc.stderr == "b4: B4_THREADS must be a positive integer, got '\u00b2'\n"
 
     monkeypatch.setattr(cli, "_THREAD_CAP_ERROR", "bad cap")
     assert main(["--help"]) == 1
 
 
-def test_module_entry_point():
-    # The child must import the b4 under test, installed or not.
+def run_module(args, **env):
+    """``python -m b4.cli`` with args, in a child that imports the b4 under
+    test, installed or not, with env added to its environment."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "b4.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "b4.cli", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def test_module_entry_point():
+    proc = run_module(["--help"])
     assert proc.returncode == 0
     assert "simulate" in proc.stdout

@@ -88,3 +88,27 @@ def test_out_of_range_value_names_its_line(key, raw, message, cfg, position):
     lines.insert(position, f"{key} = {raw}")
     with pytest.raises(ConfigError, match=rf"^line {position + 1}: {key} {message}"):
         parse_config("\n".join(lines))
+
+
+# str values that would come back otherwise, or not at all: a "#" cuts
+# the line, a line break starts a new one, and blanks are stripped.
+UNSERIALIZABLE = [
+    ("out_dir", "runs/#3"),
+    ("out_dir", "a\nnx = 3"),
+    ("resume_from", "a\rb"),
+    ("series_file", "a\u2028b"),
+    ("series_file", " padded"),
+    ("resume_from", "padded\t"),
+]
+
+
+@pytest.mark.parametrize("key, value", UNSERIALIZABLE)
+def test_serialize_rejects_a_str_that_does_not_parse_back(key, value):
+    cfg = dataclasses.replace(RunConfig(), **{key: value})
+    try:
+        back = getattr(parse_config(f"{key} = {value}\n"), key)
+    except ConfigError:
+        back = None
+    assert back != value
+    with pytest.raises(ValueError, match=rf"^{key} = "):
+        serialize(cfg)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from b4.functionals import (
-    MinorSet,
     _condition_terms,
     brqp_matrix,
     build_sequences,
@@ -56,7 +55,7 @@ def minor_closed_forms(r, q, p, triple, seqs, a, b, c, d):
         * (lam * vee - gam**2)
         / t
     )
-    return MinorSet(d1=d1, d2=d2, d3=d3, d4=d4)
+    return d1, d2, d3, d4
 
 
 def bordered_minor_parts(M):
@@ -151,9 +150,9 @@ def test_brqp_matrix_all_ones_collapses():
     seqs = (np.ones(9), np.ones(9), np.ones(9))
     B = brqp_matrix(0, 0, 0, seqs, 1, 1, 1, 1)
     assert np.array_equal(B, np.ones((4, 4)))
-    minors = sylvester_minors(B)
-    assert minors.d1 == 1.0
-    assert abs(minors.d2) < 1e-12 and abs(minors.d3) < 1e-12 and abs(minors.d4) < 1e-12
+    d1, d2, d3, d4 = sylvester_minors(B)
+    assert d1 == 1.0
+    assert abs(d2) < 1e-12 and abs(d3) < 1e-12 and abs(d4) < 1e-12
 
 
 def test_brqp_matrix_index_guards():
@@ -165,13 +164,13 @@ def test_brqp_matrix_index_guards():
 
 
 def test_sylvester_minors_examples():
-    assert sylvester_minors(np.eye(4)).as_tuple() == (1.0, 1.0, 1.0, 1.0)
+    assert sylvester_minors(np.eye(4)) == (1.0, 1.0, 1.0, 1.0)
     got = sylvester_minors(np.diag([1.0, 2.0, 3.0, 4.0]))
-    assert np.allclose(got.as_tuple(), (1, 2, 6, 24), rtol=1e-12)
+    assert np.allclose(got, (1, 2, 6, 24), rtol=1e-12)
     rng = np.random.default_rng(2)
     for _ in range(25):
         G = rng.standard_normal((4, 4))
-        assert sylvester_minors(G.T @ G + np.eye(4)).all_positive
+        assert all(m > 0 for m in sylvester_minors(G.T @ G + np.eye(4)))
     bad = np.eye(4)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
@@ -191,8 +190,8 @@ def test_minor_closed_forms_match_determinants():
                 for r in range(q + 1):
                     direct = sylvester_minors(brqp_matrix(r, q, p, seqs, a, b, c, d))
                     closed = minor_closed_forms(r, q, p, triple, seqs, a, b, c, d)
-                    assert direct.all_positive, (r, q, p)
-                    for x, y in zip(direct.as_tuple(), closed.as_tuple()):
+                    assert all(m > 0 for m in direct), (r, q, p)
+                    for x, y in zip(direct, closed):
                         assert abs(x - y) <= 1e-9 * abs(y), (r, q, p)
 
 

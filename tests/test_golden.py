@@ -161,7 +161,7 @@ def test_chain_probe_series_and_final_fields_are_pinned():
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=20.0, record_every=1, probe=(7, 0))
     records, final_state = simulate_records(state, params, cfg)
     # (t, u, v, w, z) at every step, as a (481, 5) float64 array
-    probe = np.array([(rec.t, *rec.probe_values.as_tuple()) for rec in records])
+    probe = np.array([(rec.t, *rec.probe_values) for rec in records])
     assert sha256(probe.tobytes()) == CHAIN_PROBE_SHA256
     final = b"".join(f.tobytes() for f in final_state.data)
     assert sha256(final) == CHAIN_FINAL_SHA256
@@ -182,8 +182,8 @@ def test_analyze_outputs_are_pinned(tmp_path):
     t = np.arange(x.size) * 0.5
     series = tmp_path / "henon.csv"
     series.write_text("t,u\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(t, x)))
-    config = parse_config(f"out_dir = {tmp_path / 'an'}\n")
-    assert digests(run_analyze(series, config)) == HENON_ANALYZE_SHA256
+    config = parse_config(f"out_dir = {tmp_path / 'an'}\nseries_file = {series}\n")
+    assert digests(run_analyze(config)) == HENON_ANALYZE_SHA256
 
 
 def lorenz_series(n, seed, spacing=0.05, substeps=5):

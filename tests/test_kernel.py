@@ -27,7 +27,6 @@ from b4.model import (
     BC_DIRICHLET0,
     BC_NEUMANN,
     GridState,
-    Point4,
     SystemParams,
     stationary_solution,
 )
@@ -133,7 +132,7 @@ def reference_record(t, ix, iy, fields, dx, dy):
     cell = dx * dy
     return ObservableRecord(
         t=t,
-        probe_values=Point4(*(float(f[ix, iy]) for f in fields)),
+        probe_values=tuple(float(f[ix, iy]) for f in fields),
         l2_norms=tuple(_l2_norm(f, cell) for f in fields),
         grad_l2_norms=tuple(_grad_l2_norm(f, dx, dy) for f in fields),
         mins=tuple(float(f.min()) for f in fields),
@@ -252,7 +251,7 @@ def test_stacked_reaction_is_bit_equal_to_the_per_field_formula(params, shape, s
 @pytest.mark.parametrize("nx, ny", [(12, 9), (64, 1), (1, 1)])
 def test_uniform_stationary_state_stays_exact_for_2000_steps(nx, ny):
     params = SystemParams()
-    base = stationary_solution(params).as_tuple()
+    base = stationary_solution(params)
     state = GridState(nx, ny, 1.0, 1.0, *(np.full((nx, ny), c) for c in base))
     dt = stability_limit(params, state)
     cfg = SolverConfig(dt=dt, t_end=2000 * dt, record_every=1)
@@ -261,14 +260,14 @@ def test_uniform_stationary_state_stays_exact_for_2000_steps(nx, ny):
         records, final = simulate_records(state, params, cfg)
     assert len(records) == 2001
     assert final.data.tobytes() == state.data.tobytes()
-    assert all(rec.probe_values.as_tuple() == base for rec in records)
+    assert all(rec.probe_values == base for rec in records)
     assert all(rec.mins == rec.maxs == base for rec in records)
 
 
 def test_zero_walls_never_report_a_peak_above_the_interior():
     params = SystemParams(a=0.05, b=0.1, c=0.15, d=0.2)
     rng = np.random.default_rng(5)
-    base = np.array(stationary_solution(params).as_tuple()).reshape(4, 1, 1)
+    base = np.array(stationary_solution(params)).reshape(4, 1, 1)
     data = base * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, (4, 12, 9)))
     stencil = _Stencil(data, 1.0, 1.0, BC_DIRICHLET0, params)
     dt = stability_limit(params, GridState(12, 9, 1.0, 1.0, *data, bc=BC_DIRICHLET0))
@@ -339,7 +338,7 @@ def test_every_chunking_is_bit_equal_to_the_per_field_stencil(run):
 def test_large_grid_chunks_are_bit_equal_to_one_chunk(bc):
     params = SystemParams(a=0.05, b=0.1, c=0.15, d=0.2)
     rng = np.random.default_rng(11)
-    base = np.array(stationary_solution(params).as_tuple()).reshape(4, 1, 1)
+    base = np.array(stationary_solution(params)).reshape(4, 1, 1)
     data = base * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, (4, 200, 200)))
     dt = stability_limit(params, GridState(200, 200, 1.0, 1.0, *data, bc=bc))
     chunked = _Stencil(data, 1.0, 1.0, bc, params)
@@ -486,7 +485,7 @@ def test_a_sum_of_squares_above_the_limit_squared_does_not_raise():
     # root of the sum of squares is far above the limit.
     params = SystemParams()
     rng = np.random.default_rng(4)
-    base = np.array(stationary_solution(params).as_tuple()).reshape(4, 1, 1)
+    base = np.array(stationary_solution(params)).reshape(4, 1, 1)
     data = base * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, (4, 200, 1)))
     dt = 0.01
     peak = next_peak(ReferenceStencil(data, 1.0, 1.0, BC_NEUMANN), params, dt, 1, 1.0, 1.0, BC_NEUMANN)

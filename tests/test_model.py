@@ -5,12 +5,11 @@ import pytest
 
 from b4.model import (
     GridState,
-    Point4,
     SystemParams,
+    check_params,
     reaction_buffers,
     reaction_fields,
     stationary_solution,
-    validate_params,
 )
 from b4.solver import initial_condition
 
@@ -44,20 +43,20 @@ def test_stationary_point_is_a_zero_of_the_reaction():
     rng = np.random.default_rng(11)
     for _ in range(50):
         p = random_params(rng)
-        u, v, w, z = stationary_solution(p).as_tuple()
+        u, v, w, z = stationary_solution(p)
         (f, h), (g, k) = pair_rates((u, w), (v, z), p)
         assert max(abs(x) for x in (f, g, h, k)) <= 1e-14
 
 
 def test_stationary_solution_values():
-    assert stationary_solution(SystemParams(alpha=2, beta=5.5)).as_tuple() == (
+    assert stationary_solution(SystemParams(alpha=2, beta=5.5)) == (
         2,
         2.75,
         2,
         2.75,
     )
-    assert stationary_solution(SystemParams(alpha=1, beta=1)).as_tuple() == (1, 1, 1, 1)
-    assert stationary_solution(SystemParams(alpha=2, beta=5.9)).as_tuple() == (
+    assert stationary_solution(SystemParams(alpha=1, beta=1)) == (1, 1, 1, 1)
+    assert stationary_solution(SystemParams(alpha=2, beta=5.9)) == (
         2,
         2.95,
         2,
@@ -108,21 +107,27 @@ def test_rates_nonnegative_on_boundary_faces():
         assert f >= 0 and g >= 0 and h >= 0 and k >= 0
 
 
-def test_validate_params():
-    assert validate_params(SystemParams()) == []
-    assert validate_params(SystemParams(alpha=0.0)) == ["alpha"]
-    assert validate_params(SystemParams(a=-1e-6)) == ["a"]
-    assert validate_params(SystemParams(beta=float("nan"))) == ["beta"]
-    assert set(validate_params(SystemParams(alpha=-1, D2=0.0))) == {"alpha", "D2"}
+def test_check_params():
+    assert check_params(SystemParams()) is None
+    with pytest.raises(ValueError, match=r"^invalid parameters: alpha$"):
+        check_params(SystemParams(alpha=0.0))
+    with pytest.raises(ValueError, match=r"^invalid parameters: a$"):
+        check_params(SystemParams(a=-1e-6))
+    with pytest.raises(ValueError, match=r"^invalid parameters: beta$"):
+        check_params(SystemParams(beta=float("nan")))
+    with pytest.raises(ValueError, match=r"^invalid parameters: alpha, D2$"):
+        check_params(SystemParams(alpha=-1, D2=0.0))
 
 
-def test_point4_rejects_non_finite_entries():
-    with pytest.raises(ValueError):
-        Point4(float("nan"), 0, 0, 0)
-    with pytest.raises(ValueError):
-        Point4(0, float("inf"), 0, 0)
-    # negative entries are fine (perturbations)
-    assert Point4(-1.0, 0.5, 0.0, 2.0).u == -1.0
+def test_stationary_solution_rejects_non_finite_components():
+    with pytest.raises(ValueError, match="non-finite component 'u'"):
+        stationary_solution(SystemParams(alpha=float("nan")))
+    with pytest.raises(ValueError, match="non-finite component 'v'"):
+        stationary_solution(SystemParams(beta=float("inf")))
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        stationary_solution(SystemParams(alpha=0.0))
+    # negative components are fine (the state is not checked for positivity)
+    assert stationary_solution(SystemParams(beta=-1.0)) == (2.0, -0.5, 2.0, -0.5)
 
 
 def test_grid_state_checks_shapes_and_freezes_arrays():
@@ -146,7 +151,7 @@ def test_geometry_rejects_empty_grids_and_non_finite_spacings():
         (3, 0, 1.0, 1.0),
     ):
         with pytest.raises(ValueError):
-            initial_condition(nx, ny, dx, dy, Point4(1, 1, 1, 1), 0.0, seed=0)
+            initial_condition(nx, ny, dx, dy, (1, 1, 1, 1), 0.0, seed=0)
         field = np.ones((nx, ny))
         with pytest.raises(ValueError):
             GridState(nx, ny, dx, dy, field, field, field, field)

@@ -10,7 +10,6 @@ from b4.model import (
     BC_DIRICHLET0,
     BC_NEUMANN,
     GridState,
-    Point4,
     SystemParams,
     stationary_solution,
 )
@@ -169,7 +168,7 @@ def test_step_uniform_euler_hand_oracle():
 
 
 def test_step_keeps_stationary_state():
-    state = uniform_state(stationary_solution(TABLE_PARAMS).as_tuple())
+    state = uniform_state(stationary_solution(TABLE_PARAMS))
     out = step(state, TABLE_PARAMS, 1.0 / 24.0)
     for before, after in zip(state.data, out.data):
         assert np.array_equal(before, after)
@@ -196,7 +195,7 @@ def test_step_blowup_guard():
 
 def test_simulate_from_zero_initial_data():
     grid = (8, 1, 1.0, 1.0)
-    state = initial_condition(*grid, Point4(0, 0, 0, 0), 0.0, seed=1)
+    state = initial_condition(*grid, (0, 0, 0, 0), 0.0, seed=1)
     cfg = SolverConfig(dt=1.0 / 24.0, t_end=2.0, record_every=12)
     records, final = simulate_records(state, TABLE_PARAMS, cfg)
     assert all(np.all(np.isfinite(f)) for f in final.data)
@@ -214,7 +213,7 @@ def test_simulate_record_cadence_and_probe_shape():
     assert [round(r.t * 24) for r in records] == [0, 10, 20]
     assert cfg.total_steps == 24
     # the recorded probe values are those of the probe node
-    assert records[0].probe_values.as_tuple() == tuple(state.data[:, 2, 0])
+    assert records[0].probe_values == tuple(state.data[:, 2, 0])
 
 
 def test_simulate_guards():
@@ -231,7 +230,7 @@ def test_simulate_guards():
 
 def test_simulate_blowup_diagnostics():
     grid = (4, 1, 1.0, 1.0)
-    state = initial_condition(*grid, Point4(1e5, 1e5, 1e5, 1e5), 0.0, seed=0)
+    state = initial_condition(*grid, (1e5, 1e5, 1e5, 1e5), 0.0, seed=0)
     with pytest.raises(BlowUpError) as info:
         simulate(state, TABLE_PARAMS, SolverConfig(dt=1.0 / 24.0, t_end=1.0))
     err = info.value
@@ -297,7 +296,7 @@ def test_simulate_resume_is_bit_identical(tmp_path):
 
 def test_initial_condition_contract():
     grid = (20, 3, 1.0, 1.0)
-    base = Point4(2.0, 2.75, 2.0, 2.75)
+    base = (2.0, 2.75, 2.0, 2.75)
     flat = initial_condition(*grid, base, 0.0, seed=4)
     assert np.all(flat.u == 2.0) and np.all(flat.v == 2.75)
 
@@ -307,10 +306,10 @@ def test_initial_condition_contract():
     for f1, f2 in zip(a.data, b.data):
         assert np.array_equal(f1, f2)
     assert any(not np.array_equal(f1, f3) for f1, f3 in zip(a.data, c.data))
-    for field, center in zip(a.data, base.as_tuple()):
+    for field, center in zip(a.data, base):
         assert np.all(field >= center - 1e-3) and np.all(field <= center + 1e-3)
 
-    clamped = initial_condition(*grid, Point4(0.01, 0.01, 0.01, 0.01), 1.0, seed=6)
+    clamped = initial_condition(*grid, (0.01, 0.01, 0.01, 0.01), 1.0, seed=6)
     assert all(np.all(f >= 0) for f in clamped.data)
     assert any(np.any(f == 0.0) for f in clamped.data)
 

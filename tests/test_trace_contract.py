@@ -62,3 +62,21 @@ def test_reaction_calls_count_the_integrated_steps(tmp_path, capsys):
     # dt is 1/24, so t = 10 is step 240.
     assert traced_simulate(10) == 240
     assert traced_simulate(15, f"resume_from = {out / 'checkpoint.ck'}\n") == 120
+
+
+def test_main_looks_its_runners_up_when_it_runs(tmp_path, capsys):
+    # The tracer wraps cli.run_bounds after b4.cli is imported; a main that
+    # bound its runners at import would call the unwrapped one, and the
+    # cli.run_* spans and cli.bytes_written would read 0.
+    config = tmp_path / "bounds.cfg"
+    config.write_text(f"max_modes = 50\nout_dir = {tmp_path / 'out'}\n")
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        assert b4.cli.main(["bounds", "--config", str(config)]) == 0
+    finally:
+        tracer.restore()
+    calls, _ = tracer.summary()
+    assert calls["cli.run_bounds"] == 1
+    written = (tmp_path / "out" / "bounds.csv").stat().st_size
+    assert tracer.counters["cli.bytes_written"] == written
