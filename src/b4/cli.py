@@ -57,7 +57,7 @@ from .solver import (
     stability_limit,
 )
 from .spectral import dimension_bounds
-from .tsa import AnalysisConfig, albano_dimension, largest_lyapunov
+from .tsa import AnalysisConfig, albano_dimension, largest_lyapunov, theiler_limit
 
 
 class ConfigError(ValueError):
@@ -572,6 +572,12 @@ def run_analyze(config):
     x, file_dt = _read_series(Path(config.series_file or out / "probe.csv"), config.series_column)
     if x.size < 1000:
         raise ConfigError(f"need at least 1000 samples to analyze, got {x.size}")
+    limit = theiler_limit(x.size)
+    if config.theiler is not None and config.theiler > limit:
+        raise ConfigError(
+            f"theiler = {config.theiler} leaves no pair outside the Theiler window of "
+            f"{x.size} samples at any delay; it must be at most {limit}"
+        )
 
     report = albano_dimension(x, config.analysis_config())
     cint_rows = [

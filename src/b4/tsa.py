@@ -12,6 +12,19 @@ use the Euclidean norm.  Temporally close pairs are excluded via a
 Theiler window (default tau*m).  The correlation integral and the
 radii grid take their pair distances from one blocked walk,
 ``_pair_blocks``, which marks the pairs inside its band as NaN.
+
+The correlation integral walks a float32 copy of the points when every
+coordinate is finite, ``tol = 2**-21 * A + 2**-140`` (A the largest
+coordinate magnitude) is at most ``2**-12`` of the smallest radius, and
+the largest radius is below ``2**100``.  The float32 max-norm distance
+of a pair is then within tol of its float64 one: rounding a coordinate
+moves it by at most ``2**-24 * A``, the float32 subtraction adds about
+``2**-23 * A`` and the float64 one ``2**-52 * A``, abs and max add
+nothing, and ``2**-140`` covers subnormals.  So a pair below
+``r - tol`` counts for radius r, one at or above ``r + tol`` does not,
+and only the pairs between are recounted in float64, with the same
+subtractions; the counts equal those of a float64 walk bit for bit.
+Otherwise the walk runs in float64 and that band is empty.
 """
 
 import math
@@ -187,12 +200,23 @@ def svd_reduce(rows, threshold):
     return centered @ evecs[:, kept], kept_count, sigma
 
 
+def _as_points(points):
+    """points as a float (M, m) array; an (M,) array is M points of one coordinate."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValueError("points must be an (M, m) array with m >= 1")
+    return pts
+
+
 def _pair_blocks(points, gap):
     """The one pair walk: max-norm distances of an (M, m) array's points.
 
-    One block per PAIR_BLOCK reference points: row a is point i = start + a,
-    column b point j = start + gap + b.  The pairs with b < a, in the band
-    j - i < gap, are NaN, which fails every comparison and sorts last.
+    Yields (start, block), one block per PAIR_BLOCK reference points, in
+    the dtype of points: row a is point i = start + a, column b point
+    j = start + gap + b.  The pairs with b < a, in the band j - i < gap,
+    are NaN, which fails every comparison and sorts last.
     """
     coords = np.ascontiguousarray(points.T)
     M = points.shape[0]
@@ -210,7 +234,7 @@ def _pair_blocks(points, gap):
         d[:, :n][band[:n, :n]] = np.nan
         # Held across the yield, diff would add a block to the peak memory.
         del diff
-        yield d
+        yield start, d
 
 
 def correlation_integral(points, radii, theiler_window=0):
@@ -219,14 +243,13 @@ def correlation_integral(points, radii, theiler_window=0):
     Pairs i < j with j - i <= theiler_window are excluded from the
     count; the denominator stays the full pair count M(M-1)/2.  Pairs
     are counted a block of the pair walk (``_pair_blocks``, gap
-    theiler_window + 1) at a time: the block is sorted once, its NaN
-    band last, and each radius reads its count off by bisection.
+    theiler_window + 1) at a time: a sorted copy of the block, its NaN
+    band last, gives each radius the pairs below its lower threshold by
+    bisection.  The walk runs in float32 where the module docstring's
+    bound allows, and the pairs between a radius's two thresholds are
+    recounted in float64.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] == 0:
-        raise ValueError("points must be an (M, m) array with m >= 1")
+    pts = _as_points(points)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("radii must be finite and positive")
@@ -238,11 +261,24 @@ def correlation_integral(points, radii, theiler_window=0):
     gap = theiler_window + 1
     if M - gap < 1:
         raise ValueError("no usable pairs outside the Theiler window")
+    # A float64 walk counts d < r exactly: lo = hi = radii, no band.
+    walk, lo, hi = pts, radii, radii
+    # tol is inf or NaN, and fails the test, when a coordinate is not finite.
+    tol = 2.0**-21 * np.abs(pts).max() + 2.0**-140
+    if tol <= 2.0**-12 * radii[0] and radii[-1] < 2.0**100:
+        walk = pts.astype(np.float32)
+        lo = np.nextafter((radii - tol).astype(np.float32), np.float32(-np.inf))
+        hi = np.nextafter((radii + tol).astype(np.float32), np.float32(np.inf))
     below = np.zeros(radii.size, dtype=np.int64)
-    for d in _pair_blocks(pts, gap):
-        d = d.ravel()
-        d.sort()
-        below += np.searchsorted(d, radii, side="left")
+    for start, d in _pair_blocks(walk, gap):
+        ordered = np.sort(d, axis=None)
+        low = np.searchsorted(ordered, lo)
+        below += low
+        for k in np.flatnonzero(np.searchsorted(ordered, hi) > low):
+            # np.nonzero of the 2-d mask would take ten times as long.
+            a, b = np.divmod(np.flatnonzero((d >= lo[k]) & (d < hi[k])), d.shape[1])
+            exact = np.max(np.abs(pts[start + gap + b] - pts[start + a]), axis=1)
+            below[k] += np.count_nonzero(exact < radii[k])
     return below / (M * (M - 1) / 2.0)
 
 
@@ -322,12 +358,13 @@ def radii_grid(points):
     of at most k(k-1)/2; ``d > 0`` drops the block's NaN band and the
     coincident pairs in one comparison.
     """
+    points = _as_points(points)
     M = points.shape[0]
     k = min(M, PERCENTILE_SAMPLE)
     idx = _even_indices(M, k)
     n = idx.size
     pairwise, end = np.empty(n * (n - 1) // 2), 0
-    for d in _pair_blocks(points[idx], 1):
+    for _, d in _pair_blocks(points[idx], 1):
         d = d[d > 0]
         pairwise[end : end + d.size] = d
         end += d.size
@@ -353,6 +390,20 @@ def theiler_window(embedding, override):
     return -(-(embedding.tau * embedding.m) // embedding.l)
 
 
+def _stride(samples):
+    """The sample stride l of albano_dimension's embeddings: about MAX_POINTS vectors."""
+    return max(1, -(-samples // MAX_POINTS))
+
+
+def theiler_limit(samples):
+    """The largest theiler that leaves a pair outside the Theiler window
+    in albano_dimension's first embedding of ``samples`` samples, at its
+    stride and the shortest delay, tau = 1: a larger one leaves no pair
+    at any delay."""
+    points = (samples - int(WINDOW_FACTOR) - 1) // _stride(samples) + 1
+    return points - 2
+
+
 def albano_dimension(series, config=None):
     """Iterated delay-embedding dimension estimate.
 
@@ -367,12 +418,18 @@ def albano_dimension(series, config=None):
     x = np.asarray(series, dtype=float).ravel()
     acf = autocorrelation(x, min(MAX_LAG, x.size - 1))
     tau = select_delay(acf)
-    stride = max(1, -(-x.size // MAX_POINTS))
+    stride = _stride(x.size)
 
     def evaluate(m):
         emb = embed(x, m, tau, stride)
         theiler = theiler_window(emb, cfg.theiler)
         points = emb.rows.shape[0]
+        if cfg.theiler is not None and m <= points < theiler + 2:
+            raise ValueError(
+                f"theiler = {theiler} is too large for {x.size} samples: at m = {m} and "
+                f"tau = {tau} the embedding keeps {points} points, and the Theiler "
+                f"window leaves no pair among them"
+            )
         if points < max(m, theiler + 2):
             raise ValueError(
                 f"delay tau = {tau} is too long for {x.size} samples: at m = {m} the "
@@ -434,6 +491,7 @@ def largest_lyapunov(embedding, sample_interval=1.0, theiler=None):
     M = Y.shape[0]
     if M < 200:
         raise ValueError("need at least 200 embedded points")
+    explicit = theiler is not None
     theiler = theiler_window(embedding, theiler)
     kmax = min(LYAP_MAX_STEPS, M // 4)
     limit = M - kmax
@@ -463,10 +521,10 @@ def largest_lyapunov(embedding, sample_interval=1.0, theiler=None):
         log_sums += np.log(sep)
         used += 1
     if used < LYAP_MIN_REFS:
-        raise ValueError(
-            f"only {used} reference points found usable neighbors; "
-            "need a longer or less correlated series"
-        )
+        hint = "need a longer or less correlated series"
+        if explicit:
+            hint = f"the Theiler window of theiler = {theiler} leaves too few among {M} points"
+        raise ValueError(f"only {used} reference points found usable neighbors; {hint}")
     mean_ln = log_sums / used
     # The divergence curve rises linearly, then saturates at the
     # attractor diameter.  Fit before the knee when the rise is

@@ -638,6 +638,22 @@ def test_run_analyze_input_errors(tmp_path):
             analyze_file(non_finite, cfg)
 
 
+def test_analyze_rejects_a_theiler_window_wider_than_the_series(tmp_path, capsys):
+    # 2000 samples keep 1996 points at m = 5 and tau = 1, so theiler =
+    # 1995 leaves no pair outside the window at any delay.
+    series = tmp_path / "sine.csv"
+    sine_file(series)
+    out = tmp_path / "an"
+    cfg = tmp_path / "an.cfg"
+    for theiler in (1995, 5000):
+        cfg.write_text(f"theiler = {theiler}\nseries_file = {series}\nout_dir = {out}\n")
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"theiler = {theiler} leaves no pair" in err and "2000 samples" in err, err
+        assert "at most 1994" in err and "numerical failure" not in err, err
+        assert not out.exists()
+
+
 def test_run_bounds_matches_library_call(tmp_path):
     cfg = parse_config(f"max_modes = 150\nout_dir = {tmp_path}\n")
     run_bounds(cfg)

@@ -18,8 +18,10 @@ from b4.tsa import (
     correlation_integral,
     embed,
     largest_lyapunov,
+    radii_grid,
     select_delay,
     svd_reduce,
+    theiler_limit,
 )
 
 
@@ -293,6 +295,26 @@ def test_albano_dimension_names_a_delay_too_long_for_the_series():
         embed(ramp, 6, 363)
 
 
+def test_albano_dimension_names_a_theiler_window_too_wide_for_the_delay():
+    # A sine of period 100 takes tau = 20, so the first embedding keeps
+    # 2000 - 80 points: too few for the widest window that tau = 1 allows.
+    x = sine_series(2000)
+    limit = theiler_limit(x.size)
+    assert limit == 2000 - 5 - 1
+    message = rf"theiler = {limit} is too large for 2000 samples: at m = 5 and tau = 20 "
+    with pytest.raises(ValueError, match=message + "the embedding keeps 1920 points"):
+        albano_dimension(x, AnalysisConfig(theiler=limit))
+
+
+def test_theiler_limit_follows_the_sample_stride():
+    # Past MAX_POINTS (20,000) samples the first embedding takes every
+    # l-th sample: l = 3 for 40,001.
+    for samples, points in ((1000, 996), (20000, 19996), (40001, 13333)):
+        assert theiler_limit(samples) == points - 2
+        emb = embed(np.zeros(samples), int(tsa.WINDOW_FACTOR) + 1, 1, tsa._stride(samples))
+        assert emb.rows.shape[0] == points
+
+
 def test_largest_lyapunov_logistic_map():
     x = logistic_series(3000)
     oracle = float(np.mean(np.log(np.abs(4.0 - 8.0 * x))))
@@ -333,7 +355,7 @@ def test_largest_lyapunov_sample_interval_scaling():
 def test_largest_lyapunov_guards():
     with pytest.raises(ValueError):
         largest_lyapunov(embed(np.sin(np.arange(150.0)), 2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="window of theiler = 5000 leaves too few among 999"):
         largest_lyapunov(embed(logistic_series(1000), 2, 1), theiler=5000)
     with pytest.raises(ValueError, match="theiler must be nonnegative"):
         AnalysisConfig(theiler=-5)
@@ -412,3 +434,13 @@ def test_radii_grid_is_that_of_the_index_form(rows, dims, seed, holes, block):
     # PAIR_BLOCK sets memory and speed only; None puts all points in one block.
     with np.errstate(invalid="ignore"), mock.patch.object(tsa, "PAIR_BLOCK", block or rows + 1):
         assert outcome(tsa.radii_grid) == outcome(reference_radii_grid)
+
+
+def test_radii_grid_takes_a_1d_array_as_points_of_one_coordinate():
+    assert radii_grid(np.arange(10.0)).tobytes() == radii_grid(np.arange(10.0)[:, None]).tobytes()
+    x = np.sin(np.arange(1.5 * tsa.PERCENTILE_SAMPLE) / 7.0)
+    radii = radii_grid(x)
+    assert radii.tobytes() == radii_grid(x[:, None]).tobytes()
+    assert correlation_integral(x, radii, 3).tobytes() == (
+        correlation_integral(x[:, None], radii, 3).tobytes()
+    )
