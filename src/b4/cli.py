@@ -57,7 +57,7 @@ from .solver import (
     stability_limit,
 )
 from .spectral import dimension_bounds
-from .tsa import AnalysisConfig, albano_dimension, largest_lyapunov, theiler_limit
+from .tsa import albano_dimension, largest_lyapunov
 
 
 class ConfigError(ValueError):
@@ -68,7 +68,6 @@ _CHECKS = {
     "positive": (lambda v: v > 0, "must be positive"),
     "nonneg": (lambda v: v >= 0, "must be non-negative"),
     "ge1": (lambda v: v >= 1, "must be at least 1"),
-    "ge2": (lambda v: v >= 2, "must be at least 2"),
     "u64": (lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer"),
     "bc": (lambda v: v in BC_TAGS, f"must be one of {sorted(BC_TAGS)}"),
     "column": (lambda v: v in ("u", "v", "w", "z"), "must be one of u, v, w, z"),
@@ -88,9 +87,9 @@ class RunConfig:
     Each field declares its key once: the annotation is the value type
     (``T | None`` also accepts ``auto``, parsed as None), the default is
     the default, and ``_key`` names the range check.  ``dt = None``
-    means "choose automatically from the stability limit";
-    ``theiler = None`` means "use the default exclusion window derived
-    from the embedding".
+    means "choose automatically from the stability limit".  The
+    analysis settings and the bound prefactors are not keys: they are
+    fixed in ``b4.tsa`` and ``b4.spectral``.
     """
 
     # reaction and diffusion parameters, defaulting to the reference table
@@ -121,17 +120,11 @@ class RunConfig:
     snapshot_every: int = _key(0, "nonneg")
     resume_from: str = ""
     out_dir: str = "b4_out"
-    # time-series analysis, defaulting to AnalysisConfig
-    threshold: float = _key(AnalysisConfig.threshold, "nonneg")
-    m_max: int = _key(AnalysisConfig.m_max, "ge2")
-    theiler: int | None = _key(AnalysisConfig.theiler, "nonneg")
+    # time-series analysis
     series_file: str = ""
     series_column: str = _key("u", "column")
     # dimension bounds and feasibility
     N: int = _key(2, "n123")
-    K_prime: float = _key(1.0, "positive")
-    K1: float = _key(1.0, "positive")
-    C_upper: float = _key(1.0, "positive")
     max_modes: int = _key(1000, "ge1")
 
     def system_params(self):
@@ -143,9 +136,6 @@ class RunConfig:
         dx = self.Lx / (self.nx - 1) if self.nx > 1 else self.Lx
         dy = self.Ly / (self.ny - 1) if self.ny > 1 else self.Ly
         return dx, dy
-
-    def analysis_config(self):
-        return AnalysisConfig(threshold=self.threshold, m_max=self.m_max, theiler=self.theiler)
 
 
 _KEYS = {f.name: f for f in fields(RunConfig)}
@@ -566,20 +556,17 @@ def run_analyze(config):
 
     The series is ``config.series_file``, or probe.csv in the output
     directory when that is empty, and must hold at least 1000 samples.
-    Returns the written paths.
+    Both estimates are made before the first file is written, so a
+    failure of either leaves the output directory as it was.  Returns
+    the written paths.
     """
     out = Path(config.out_dir)
     x, file_dt = _read_series(Path(config.series_file or out / "probe.csv"), config.series_column)
     if x.size < 1000:
         raise ConfigError(f"need at least 1000 samples to analyze, got {x.size}")
-    limit = theiler_limit(x.size)
-    if config.theiler is not None and config.theiler > limit:
-        raise ConfigError(
-            f"theiler = {config.theiler} leaves no pair outside the Theiler window of "
-            f"{x.size} samples at any delay; it must be at most {limit}"
-        )
 
-    report = albano_dimension(x, config.analysis_config())
+    report = albano_dimension(x)
+    lam = largest_lyapunov(report.embedding, file_dt)
     cint_rows = [
         (r, c, math.log10(r), math.log10(c) if c > 0 else math.nan)
         for r, c in zip(report.radii.tolist(), report.C.tolist())
@@ -588,7 +575,6 @@ def run_analyze(config):
         _write_csv(out / "acf.csv", ["lag", "acf"], enumerate(report.acf.tolist())),
         _write_csv(out / "cint.csv", ["r", "C", "log10_r", "log10_C"], cint_rows),
     ]
-    lam = largest_lyapunov(report.embedding, file_dt, config.theiler)
     r_lo, r_hi = report.scaling_region
     row = (report.d, report.m_used, report.tau, r_lo, r_hi, report.fit_r2, lam)
     header = ["d", "m", "tau", "r_lo", "r_hi", "fit_r2", "lambda1"]
@@ -606,16 +592,8 @@ def run_bounds(config):
             f"bc = {config.bc}: bounds needs bc = {BC_NEUMANN}, since under "
             f"{config.bc} the uniform state is not an equilibrium"
         )
-    report = dimension_bounds(
-        config.system_params(),
-        config.N,
-        config.Lx,
-        None if config.N == 1 else config.Ly,
-        config.max_modes,
-        K_prime=config.K_prime,
-        K1=config.K1,
-        C_upper=config.C_upper,
-    )
+    Ly = None if config.N == 1 else config.Ly
+    report = dimension_bounds(config.system_params(), config.N, config.Lx, Ly, config.max_modes)
     row = (
         float(report.lower_bound_base),
         float(report.lower),

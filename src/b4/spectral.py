@@ -238,33 +238,30 @@ def lower_bound_base(params):
     return _trace_bracket(params) / (params.a + params.b + params.c + params.d)
 
 
-def dimension_bounds(params, N, Lx, Ly, max_modes, K_prime=1, K1=1, C_upper=1):
+def dimension_bounds(params, N, Lx, Ly, max_modes):
     """Attractor-dimension bound report for the Lx x Ly rectangle.
 
-    lower = K_prime * max(base, 0)^(N/2) with base from
-    lower_bound_base; upper = (C_upper/K1)^(3/2) * |Omega| + 1, where
-    |Omega| is Lx * Ly, or Lx for the interval that Ly=None gives.
-    The upper-bound constants are user inputs (default 1): the formula
-    is exposed as an evaluator, not a claimed number.  The report also
-    holds the unstable-mode counts of the first max_modes modes of the
-    domain.  Lx and Ly, when given, must be positive and finite.
+    lower = max(base, 0)^(N/2) with base from lower_bound_base, and
+    upper = |Omega| + 1, where |Omega| is Lx * Ly, or Lx for the
+    interval that Ly=None gives: the paper's bracket with its constants
+    at 1, an evaluator of the formula rather than a claimed number.
+    The report also holds the unstable-mode counts of the first
+    max_modes modes of the domain.  Lx and Ly, when given, must be
+    positive and finite.
     """
     if N not in (1, 2, 3):
         raise ValueError("N must be 1, 2 or 3")
     for length in (Lx, Ly):
         if length is not None and not (math.isfinite(length) and length > 0):
             raise ValueError("domain lengths must be positive and finite")
-    if K1 <= 0:
-        raise ValueError("K1 must be positive")
     base = lower_bound_base(params)
     clamped = base if base > 0 else 0
     if N % 2 == 0:
-        powered = clamped ** (N // 2)
+        lower = clamped ** (N // 2)
     else:
-        powered = math.sqrt(clamped) ** N
-    lower = K_prime * powered
+        lower = math.sqrt(clamped) ** N
     volume = Lx if Ly is None else Lx * Ly
-    upper = float(C_upper / K1) ** 1.5 * float(volume) + 1.0
+    upper = float(volume) + 1.0
 
     trace_count, full_count = unstable_mode_count(params, Lx, Ly, max_modes)
     return BoundReport(

@@ -9,7 +9,7 @@ exponent.
 
 Pair distances use the max norm; neighbor searches for the exponent
 use the Euclidean norm.  Temporally close pairs are excluded via a
-Theiler window (default tau*m).  The correlation integral and the
+Theiler window of tau*m samples.  The correlation integral and the
 radii grid take their pair distances from one blocked walk,
 ``_pair_blocks``, which marks the pairs inside its band as NaN.
 
@@ -46,19 +46,8 @@ LYAP_MAX_REFS = 1000  # the reference points of the divergence curve
 LYAP_MIN_REFS = 10  # the fewest reference points with a usable neighbour
 PAIR_BLOCK = 16  # the reference points whose pair distances are sorted together
 MAX_POINTS = 20000  # about the embedded vectors kept, through the sample stride
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    threshold: float = 1e-2
-    m_max: int = 50
-    theiler: int | None = None
-
-    def __post_init__(self):
-        if self.m_max < 2 or self.threshold < 0:
-            raise ValueError("degenerate analysis configuration")
-        if self.theiler is not None and self.theiler < 0:
-            raise ValueError("theiler must be nonnegative")
+SVD_THRESHOLD = 1e-2  # the kept singular values, relative to the largest
+M_MAX = 50  # the largest embedding dimension tried
 
 
 @dataclass(frozen=True)
@@ -379,64 +368,41 @@ def radii_grid(points):
     return np.geomspace(lo, hi, RADII_COUNT)
 
 
-def theiler_window(embedding, override):
+def theiler_window(embedding):
     """Exclusion window in embedded-vector index units.
 
-    The default tau*m is a span in samples; with a strided embedding
-    it shrinks accordingly.  An explicit override is taken verbatim.
+    The window is the standard tau*m samples (Theiler 1986), a span
+    that a strided embedding covers in ceil(tau*m/l) vectors.
     """
-    if override is not None:
-        return override
     return -(-(embedding.tau * embedding.m) // embedding.l)
 
 
-def _stride(samples):
-    """The sample stride l of albano_dimension's embeddings: about MAX_POINTS vectors."""
-    return max(1, -(-samples // MAX_POINTS))
-
-
-def theiler_limit(samples):
-    """The largest theiler that leaves a pair outside the Theiler window
-    in albano_dimension's first embedding of ``samples`` samples, at its
-    stride and the shortest delay, tau = 1: a larger one leaves no pair
-    at any delay."""
-    points = (samples - int(WINDOW_FACTOR) - 1) // _stride(samples) + 1
-    return points - 2
-
-
-def albano_dimension(series, config=None):
+def albano_dimension(series):
     """Iterated delay-embedding dimension estimate.
 
     Delay from the 1/e rule, initial window a multiple of it, SVD
     projection, correlation dimension, then embedding growth until the
     Takens condition m > 2d+1 holds, followed by a refinement scan
-    keeping the best-fitting m.  Hitting m_max returns the last fit
+    keeping the best-fitting m.  Hitting M_MAX returns the last fit
     with takens_ok=False instead of raising.  The embedding takes every
     l-th sample, l chosen to keep about MAX_POINTS vectors.
     """
-    cfg = config if config is not None else AnalysisConfig()
     x = np.asarray(series, dtype=float).ravel()
     acf = autocorrelation(x, min(MAX_LAG, x.size - 1))
     tau = select_delay(acf)
-    stride = _stride(x.size)
+    stride = max(1, -(-x.size // MAX_POINTS))
 
     def evaluate(m):
         emb = embed(x, m, tau, stride)
-        theiler = theiler_window(emb, cfg.theiler)
+        theiler = theiler_window(emb)
         points = emb.rows.shape[0]
-        if cfg.theiler is not None and m <= points < theiler + 2:
-            raise ValueError(
-                f"theiler = {theiler} is too large for {x.size} samples: at m = {m} and "
-                f"tau = {tau} the embedding keeps {points} points, and the Theiler "
-                f"window leaves no pair among them"
-            )
         if points < max(m, theiler + 2):
             raise ValueError(
                 f"delay tau = {tau} is too long for {x.size} samples: at m = {m} the "
                 f"embedding keeps {points} points, too few for pairs outside the "
                 f"Theiler window of {theiler}"
             )
-        coords, kept, sigma = svd_reduce(emb.rows, cfg.threshold)
+        coords, kept, sigma = svd_reduce(emb.rows, SVD_THRESHOLD)
         radii = radii_grid(coords)
         C = correlation_integral(coords, radii, theiler)
         fit = correlation_dimension(radii, C)
@@ -460,11 +426,11 @@ def albano_dimension(series, config=None):
         if m > 2.0 * best.d + 1.0:
             break
         next_m = max(m + 1, int(math.floor(2.0 * best.d + 1.0)) + 1)
-        if next_m > cfg.m_max:
+        if next_m > M_MAX:
             return best
         m = next_m
 
-    for trial in range(m + 1, min(m + REFINE_SPAN, cfg.m_max) + 1):
+    for trial in range(m + 1, min(m + REFINE_SPAN, M_MAX) + 1):
         try:
             candidate = evaluate(trial)
         except ValueError:
@@ -474,25 +440,24 @@ def albano_dimension(series, config=None):
     return replace(best, takens_ok=best.m_used >= 2.0 * best.d + 1.0)
 
 
-def largest_lyapunov(embedding, sample_interval=1.0, theiler=None):
+def largest_lyapunov(embedding, sample_interval=1.0):
     """Largest Lyapunov exponent from nearest-neighbor divergence.
 
     Each row of the embedding is a reference point, paired with its
-    nearest neighbor outside the Theiler window (theiler_window's
-    default when theiler is None); the mean log-separation is tracked
-    forward and the slope of its initial linear stretch (before the
-    curve comes within 0.7 nats of saturation) is returned per unit of
-    series time.  sample_interval is the spacing of the series, so one
-    embedded step spans sample_interval * embedding.l.
+    nearest neighbor outside the Theiler window of theiler_window; the
+    mean log-separation is tracked forward and the slope of its initial
+    linear stretch (before the curve comes within 0.7 nats of
+    saturation) is returned per unit of series time.  sample_interval
+    is the spacing of the series, so one embedded step spans
+    sample_interval * embedding.l.
     """
-    if sample_interval <= 0 or (theiler is not None and theiler < 0):
-        raise ValueError("sample_interval must be positive and theiler nonnegative")
+    if sample_interval <= 0:
+        raise ValueError("sample_interval must be positive")
     Y = embedding.rows
     M = Y.shape[0]
     if M < 200:
         raise ValueError("need at least 200 embedded points")
-    explicit = theiler is not None
-    theiler = theiler_window(embedding, theiler)
+    theiler = theiler_window(embedding)
     kmax = min(LYAP_MAX_STEPS, M // 4)
     limit = M - kmax
     n_refs = min(limit, LYAP_MAX_REFS)
@@ -521,10 +486,10 @@ def largest_lyapunov(embedding, sample_interval=1.0, theiler=None):
         log_sums += np.log(sep)
         used += 1
     if used < LYAP_MIN_REFS:
-        hint = "need a longer or less correlated series"
-        if explicit:
-            hint = f"the Theiler window of theiler = {theiler} leaves too few among {M} points"
-        raise ValueError(f"only {used} reference points found usable neighbors; {hint}")
+        raise ValueError(
+            f"only {used} reference points found usable neighbors outside the Theiler "
+            f"window of {theiler} among {M} points; need a longer or less correlated series"
+        )
     mean_ln = log_sums / used
     # The divergence curve rises linearly, then saturates at the
     # attractor diameter.  Fit before the knee when the rise is

@@ -51,12 +51,12 @@ def test_parse_defaults_and_round_trip():
     assert cfg == RunConfig()
     assert cfg.alpha == 2.0 and cfg.beta == 5.5
     assert (cfg.nx, cfg.ny, cfg.Lx, cfg.Ly) == (200, 200, 500.0, 500.0)
-    assert cfg.dt is None and cfg.theiler is None
+    assert cfg.dt is None
     assert parse_config(serialize(cfg)) == cfg
 
-    text = "alpha = 1.5\n# comment\nnx = 32   # inline comment\ndt = 0.01\ntheiler = 7\n"
+    text = "alpha = 1.5\n# comment\nnx = 32   # inline comment\ndt = 0.01\nmax_modes = 7\n"
     cfg2 = parse_config(text)
-    assert (cfg2.alpha, cfg2.nx, cfg2.dt, cfg2.theiler) == (1.5, 32, 0.01, 7)
+    assert (cfg2.alpha, cfg2.nx, cfg2.dt, cfg2.max_modes) == (1.5, 32, 0.01, 7)
     assert parse_config(serialize(cfg2)) == cfg2
 
 
@@ -68,8 +68,6 @@ def test_parse_repeated_key_keeps_last():
 def test_parse_errors_name_the_line():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("alpha = banana")
-    with pytest.raises(ConfigError, match="line 3.*unknown key"):
-        parse_config("alpha = 1\nbeta = 2\nwhatever = 3\n")
     with pytest.raises(ConfigError, match="line 2.*key = value"):
         parse_config("alpha = 1\nalpha 2\n")
     with pytest.raises(ConfigError, match="line 1.*at least 1"):
@@ -80,6 +78,23 @@ def test_parse_errors_name_the_line():
         parse_config("alpha = inf")
     with pytest.raises(ConfigError, match="1, 2, or 3"):
         parse_config("N = 4")
+
+
+# The analysis settings and bound prefactors that are fixed, not keys.
+FIXED_SETTINGS = ["threshold", "m_max", "theiler", "K_prime", "K1", "C_upper"]
+
+
+@pytest.mark.parametrize("key", ["whatever", *FIXED_SETTINGS])
+def test_unknown_key_names_its_line(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{key}'$"):
+        parse_config(f"alpha = 1\nbeta = 2\n{key} = 3\n")
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"max_modes = 10\n{key} = 3\nout_dir = {out}\n")
+    for command in ("analyze", "bounds"):
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "line 2: unknown key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exchange_rates_must_be_positive(tmp_path, capsys):
@@ -638,20 +653,27 @@ def test_run_analyze_input_errors(tmp_path):
             analyze_file(non_finite, cfg)
 
 
-def test_analyze_rejects_a_theiler_window_wider_than_the_series(tmp_path, capsys):
-    # 2000 samples keep 1996 points at m = 5 and tau = 1, so theiler =
-    # 1995 leaves no pair outside the window at any delay.
-    series = tmp_path / "sine.csv"
-    sine_file(series)
+def test_failed_lyapunov_step_changes_no_file(tmp_path, capsys):
+    # Two slow tones take tau = 113 and keep 568 points at m = 5, so the
+    # Theiler window of 565 leaves no reference point a neighbor: the
+    # dimension fit succeeds and the exponent fails.
+    t = np.arange(1020.0)
+    x = np.sin(2.0 * np.pi * t / 600.0) + 0.05 * np.sin(2.0 * np.pi * t / 222.0)
+    series = tmp_path / "tones.csv"
+    series.write_text("t,u\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), x.tolist())))
     out = tmp_path / "an"
+    sine_file(tmp_path / "sine.csv", n=2500)
+    analyze_file(tmp_path / "sine.csv", parse_config(f"out_dir = {out}\n"))
+    before = directory_bytes(out)
+    assert sorted(before) == ["acf.csv", "cint.csv", "report.csv"]
+
     cfg = tmp_path / "an.cfg"
-    for theiler in (1995, 5000):
-        cfg.write_text(f"theiler = {theiler}\nseries_file = {series}\nout_dir = {out}\n")
-        assert main(["analyze", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert f"theiler = {theiler} leaves no pair" in err and "2000 samples" in err, err
-        assert "at most 1994" in err and "numerical failure" not in err, err
-        assert not out.exists()
+    cfg.write_text(f"series_file = {series}\nout_dir = {out}\n")
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: only 0 reference points" in err, err
+    assert "Theiler window of 565 among 568 points" in err, err
+    assert directory_bytes(out) == before
 
 
 def test_run_bounds_matches_library_call(tmp_path):

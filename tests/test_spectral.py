@@ -200,10 +200,10 @@ def test_lower_bound_base_exact_rational():
 
 
 def test_dimension_bounds_report():
-    report = dimension_bounds(FRACTION_NINE, 2, 1, None, 20, K_prime=Fraction(91, 100))
+    report = dimension_bounds(FRACTION_NINE, 2, 1, None, 20)
     assert isinstance(report, BoundReport)
     assert report.lower_bound_base == 152390
-    assert report.lower == Fraction(91 * 152390, 100)
+    assert isinstance(report.lower, Fraction) and report.lower == 152390
     counts = (report.trace_unstable_count, report.full_unstable_count)
     assert counts == unstable_mode_count(FRACTION_NINE, 1, None, 20)
 
@@ -211,18 +211,15 @@ def test_dimension_bounds_report():
     assert lower_bound_base(flat) == 0
     assert dimension_bounds(flat, 2, 1, None, 1).lower == 0
 
-    damped = dimension_bounds(SystemParams(beta=1.0), 2, 1, None, 1, K_prime=3.0)
+    damped = dimension_bounds(SystemParams(beta=1.0), 2, 1, None, 1)
     assert damped.lower == 0
 
-    up = dimension_bounds(SystemParams(), 1, 2.0, None, 1, C_upper=4.0, K1=1.0)
-    assert up.upper == pytest.approx(4.0**1.5 * 2.0 + 1.0, rel=1e-12)
-    sheet = dimension_bounds(SystemParams(), 2, 2.0, 3.0, 1, C_upper=4.0, K1=1.0)
-    assert sheet.upper == pytest.approx(4.0**1.5 * 6.0 + 1.0, rel=1e-12)
+    # upper = |Omega| + 1: the interval's length, or the rectangle's area.
+    assert dimension_bounds(SystemParams(), 1, 2.0, None, 1).upper == 3.0
+    assert dimension_bounds(SystemParams(), 2, 2.0, 3.0, 1).upper == 7.0
 
     with pytest.raises(ValueError):
         dimension_bounds(SystemParams(), 4, 1, None, 1)
-    with pytest.raises(ValueError):
-        dimension_bounds(SystemParams(), 2, 1, None, 1, K1=0.0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from b4 import tsa
 from b4.tsa import (
-    AnalysisConfig,
     DimensionReport,
     EmbeddingMatrix,
     albano_dimension,
@@ -21,7 +20,6 @@ from b4.tsa import (
     radii_grid,
     select_delay,
     svd_reduce,
-    theiler_limit,
 )
 
 
@@ -280,8 +278,8 @@ def test_albano_dimension_white_noise_stays_high():
     d3, d6, d9 = estimate(3), estimate(6), estimate(9)
     assert d3 < d6 < d9
 
-    with mock.patch.object(tsa, "MAX_POINTS", 1200):
-        report = albano_dimension(x, AnalysisConfig(m_max=40))
+    with mock.patch.object(tsa, "MAX_POINTS", 1200), mock.patch.object(tsa, "M_MAX", 40):
+        report = albano_dimension(x)
     assert report.d > 4.0
 
 
@@ -293,26 +291,6 @@ def test_albano_dimension_names_a_delay_too_long_for_the_series():
         albano_dimension(ramp)
     with pytest.raises(ValueError, match=r"m = 6 at tau = 363: .* no point is embedded"):
         embed(ramp, 6, 363)
-
-
-def test_albano_dimension_names_a_theiler_window_too_wide_for_the_delay():
-    # A sine of period 100 takes tau = 20, so the first embedding keeps
-    # 2000 - 80 points: too few for the widest window that tau = 1 allows.
-    x = sine_series(2000)
-    limit = theiler_limit(x.size)
-    assert limit == 2000 - 5 - 1
-    message = rf"theiler = {limit} is too large for 2000 samples: at m = 5 and tau = 20 "
-    with pytest.raises(ValueError, match=message + "the embedding keeps 1920 points"):
-        albano_dimension(x, AnalysisConfig(theiler=limit))
-
-
-def test_theiler_limit_follows_the_sample_stride():
-    # Past MAX_POINTS (20,000) samples the first embedding takes every
-    # l-th sample: l = 3 for 40,001.
-    for samples, points in ((1000, 996), (20000, 19996), (40001, 13333)):
-        assert theiler_limit(samples) == points - 2
-        emb = embed(np.zeros(samples), int(tsa.WINDOW_FACTOR) + 1, 1, tsa._stride(samples))
-        assert emb.rows.shape[0] == points
 
 
 def test_largest_lyapunov_logistic_map():
@@ -355,13 +333,8 @@ def test_largest_lyapunov_sample_interval_scaling():
 def test_largest_lyapunov_guards():
     with pytest.raises(ValueError):
         largest_lyapunov(embed(np.sin(np.arange(150.0)), 2, 1))
-    with pytest.raises(ValueError, match="window of theiler = 5000 leaves too few among 999"):
-        largest_lyapunov(embed(logistic_series(1000), 2, 1), theiler=5000)
-    with pytest.raises(ValueError, match="theiler must be nonnegative"):
-        AnalysisConfig(theiler=-5)
-    for bad in ({"sample_interval": 0.0}, {"theiler": -5}):
-        with pytest.raises(ValueError):
-            largest_lyapunov(embed(logistic_series(1000), 2, 1), **bad)
+    with pytest.raises(ValueError):
+        largest_lyapunov(embed(logistic_series(1000), 2, 1), sample_interval=0.0)
 
 
 # Floats without NaN, with signed zeros, infinities and repeats among them.
