@@ -7,8 +7,8 @@ Its second-derivative structure produces, for each index triple
 (r, q, p), a symmetric 4x4 matrix whose positive definiteness makes the
 diffusive part of d/dt eval_Ln nonpositive.  Definiteness reduces to
 three scalar inequalities on the sequence generators (theta2, sigma2,
-rho2), checked here together with a search for a feasible generator
-triple and the leading principal minors of each matrix.
+rho2), checked here together with a feasible generator triple in
+closed form and the leading principal minors of each matrix.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class ConditionReport:
         return self.cond1 and self.cond2 and self.cond3
 
 
-class InfeasibleError(RuntimeError):
-    """Raised when the generator-triple search exceeds its growth cap."""
-
-
 def coupling_constants(a, b, c, d):
     """Pairwise coupling constants of four positive diffusivities."""
     if min(a, b, c, d) <= 0:
@@ -109,72 +105,33 @@ def check_conditions(A, theta2, sigma2, rho2):
     )
 
 
-GROWTH_CAP = 10**6  # growth steps allowed per condition before giving up
-FEASIBLE_GROWTH = 2.0  # factor applied to sigma2 or rho2 per growth step
-BISECT_STEPS = 50  # bisection steps that shrink a grown value back
-
-
-def _grow_then_bisect(passes, start, condition):
-    """Smallest value found for which passes(value) holds.
-
-    The value grows from start by FEASIBLE_GROWTH until it passes; a
-    grown value is then bisected BISECT_STEPS times between its last
-    failing and its passing value, and the passing end is returned.
-    Raises InfeasibleError naming the condition after GROWTH_CAP failed
-    growth steps.
-    """
-    value = start
-    steps = 0
-    while not passes(value):
-        value *= FEASIBLE_GROWTH
-        steps += 1
-        if steps > GROWTH_CAP:
-            raise InfeasibleError(
-                f"condition {condition} not reached after {GROWTH_CAP} growth steps"
-            )
-    if steps:
-        lo, hi = value / FEASIBLE_GROWTH, value
-        for _ in range(BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid
-        value = hi
-    return value
-
-
 def feasible_triple(A):
-    """Search for a generator triple satisfying all three conditions.
+    """The generator triple that meets each condition with a margin.
 
-    theta2 is fixed at A12^2 + 1; sigma2 then grows geometrically until
-    the second condition holds with a factor-two margin, and rho2 grows
-    until the third does.  A bisection pass afterwards shrinks each
-    grown value back toward the smallest one that still meets its
-    margin target, which keeps the derived coefficient sequences well
-    scaled.  Raises InfeasibleError if a growth phase exceeds its cap
-    (not expected for finite coupling constants).
+    theta2 is fixed at A12^2 + 1.  sigma2 is the smallest value with
+    lam >= e13^2 + 1, a margin over condition 2 (lam > 0), and rho2 the
+    smallest value of at least one with lam*vee >= 2*gam^2 + 1, a margin
+    over condition 3.  lam is linear in sigma2, and gam does not depend
+    on rho2 while vee is linear in it, so both have a closed form.  The
+    triple is checked against all three conditions, since rounding in
+    the formulas could leave one unmet; raises ValueError if one is, or
+    if A12 is so large that A12^2 + 1 rounds to A12^2.
     """
     theta2 = A.A12**2 + 1.0
+    t = theta2 - A.A12**2
+    if not t > 0:
+        ratio = (A.A12 + math.sqrt(A.A12**2 - 1.0)) ** 2
+        raise ValueError(
+            f"A12 = {A.A12:.6g}: a and b differ by a factor of about {ratio:.3g}, "
+            "too far for float64 to tell A12^2 + 1 from A12^2 (condition 1)"
+        )
     e13 = A.A13 - A.A12 * A.A23
-
-    # Condition 2 with margin: lam >= e13^2 + 1, i.e. a factor-two slack
-    # over the bare inequality lam > 0.
-    lam_target = e13**2 + 1.0
-
-    def margin2_ok(s2):
-        return _condition_terms(A, theta2, s2, 1.0)[0] >= lam_target
-
-    sigma2 = _grow_then_bisect(margin2_ok, A.A23**2 + 1.0, 2)
+    e14 = A.A14 - A.A12 * A.A24
+    sigma2 = A.A23**2 + (2.0 * e13**2 + 1.0) / t
     lam, _, gam = _condition_terms(A, theta2, sigma2, 1.0)
-
-    # Condition 3 with margin: lam*vee >= 2*gam^2 + 1.  gam does not
-    # depend on rho2 and vee is increasing in it, so growth terminates.
-    def margin3_ok(r2):
-        vee = _condition_terms(A, theta2, sigma2, r2)[1]
-        return vee > 0 and lam * vee >= 2.0 * gam**2 + 1.0
-
-    rho2 = _grow_then_bisect(margin3_ok, 1.0, 3)
+    rho2 = max(1.0, (A.A24**2 + ((2.0 * gam**2 + 1.0) / lam + e14**2) / t) / sigma2)
+    if not check_conditions(A, theta2, sigma2, rho2).all_pass:
+        raise ValueError(f"rounding left the triple {(theta2, sigma2, rho2)} infeasible")
     return theta2, sigma2, rho2
 
 

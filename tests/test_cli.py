@@ -728,6 +728,17 @@ def test_run_feasibility_equal_diffusivities(tmp_path):
     assert float(row[6]) > 1.0
 
 
+def test_feasibility_names_a_ratio_float64_cannot_hold(tmp_path, capsys):
+    # a:b = 1e-17 makes A12 = 1.58e8, so theta2 - A12^2 rounds to 0.
+    cfg = tmp_path / "ratio.cfg"
+    cfg.write_text(f"a = 1e-10\nb = 1e7\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["feasibility", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: A12 = 1.58114e+08" in err, err
+    assert "a and b differ by a factor of about 1e+17" in err, err
+    assert not (tmp_path / "out" / "feasibility.csv").exists()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["--help"]) == 0
     assert main(["simulate"]) == 1

@@ -3,7 +3,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from b4 import functionals
 from b4.functionals import (
     _condition_terms,
     brqp_matrix,
@@ -121,7 +124,67 @@ def test_feasible_triple_equal_diffusivities_value():
     theta2, sigma2, rho2 = feasible_triple(A)
     assert theta2 == 2.0
     assert sigma2 == 2.0
-    assert rho2 == pytest.approx(2.0, rel=1e-12)
+    assert rho2 == 2.0
+
+
+# Uniform over 1e-6..1e-5 as in the benchmark's scan draws, uniform over
+# 1e-3..1, and log-uniform over 1e-8..1e2.
+SCAN_RANGE = st.floats(1e-6, 1e-5)
+MIDDLE_RANGE = st.floats(1e-3, 1.0)
+WIDE_RANGE = st.floats(-8.0, 2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def diffusivities(draw, diffusivity):
+    """Four diffusivities from one range, some of them repeated."""
+    pool = draw(st.lists(diffusivity, min_size=1, max_size=4))
+    return [draw(st.sampled_from(pool)) for _ in range(4)]
+
+
+def margin_targets(A, triple):
+    """(lam, e13^2 + 1) and (lam * vee, 2 gam^2 + 1): the margin each
+    generator of feasible_triple is the smallest to reach."""
+    lam, vee, gam = _condition_terms(A, *triple)
+    e13 = A.A13 - A.A12 * A.A23
+    return (lam, e13**2 + 1.0), (lam * vee, 2.0 * gam**2 + 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(abcd=st.one_of(diffusivities(SCAN_RANGE), diffusivities(MIDDLE_RANGE)))
+def test_feasible_triple_meets_its_margin_targets(abcd):
+    A = coupling_constants(*abcd)
+    for value, target in margin_targets(A, feasible_triple(A)):
+        assert value >= target * (1.0 - 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    abcd=st.one_of(
+        diffusivities(SCAN_RANGE), diffusivities(MIDDLE_RANGE), diffusivities(WIDE_RANGE)
+    )
+)
+def test_feasible_triple_is_strict_and_minimal(abcd):
+    # On the wide range the lam * vee target can miss by a few parts in
+    # a million, from cancellation in vee, but every condition holds.
+    A = coupling_constants(*abcd)
+    theta2, sigma2, rho2 = feasible_triple(A)
+    report = check_conditions(A, theta2, sigma2, rho2)
+    assert report.cond1 and report.cond2 and report.cond3
+    lowered = 1.0 - 1e-9
+    (lam, lam_target), _ = margin_targets(A, (theta2, sigma2 * lowered, rho2))
+    assert lam < lam_target
+    if rho2 > 1.0:
+        _, (product, product_target) = margin_targets(A, (theta2, sigma2, rho2 * lowered))
+        assert product < product_target
+
+
+def test_feasible_triple_rejects_a_triple_that_fails_its_check(monkeypatch):
+    A = coupling_constants(1, 2, 3, 4)
+    failing = check_conditions(A, 1.0, 1.0, 1.0)
+    assert not failing.all_pass
+    monkeypatch.setattr(functionals, "check_conditions", lambda *args: failing)
+    with pytest.raises(ValueError, match="infeasible"):
+        feasible_triple(A)
 
 
 def test_build_sequences_examples():

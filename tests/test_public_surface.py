@@ -28,7 +28,6 @@ PACKAGE = ROOT / "src" / "b4"
 # item that gives it one.
 AWAITING_A_CALLER = {
     "cli:serialize": "item 6",
-    "functionals:check_conditions": "item 6",
     "functionals:eval_Ln": "item 4",
     "functionals:shifted_sequences": "item 4",
     "functionals:decay_monitor": "item 4",
@@ -46,7 +45,6 @@ AWAITING_A_READER = {
     "functionals:ConditionReport.margin1": "item 6",
     "functionals:ConditionReport.margin2": "item 6",
     "functionals:ConditionReport.margin3": "item 6",
-    "functionals:ConditionReport.all_pass": "item 6",
     "functionals:DecayReport.absorbed": "item 4",
     "functionals:DecayReport.plateau": "item 4",
     "functionals:DecayReport.tail_max": "item 4",

@@ -43,5 +43,5 @@ def test_constants_paragraph_names_every_fixed_setting():
         for name, value in vars(module).items()
         if name.isupper() and not name.startswith("_") and type(value) in (int, float)
     ]
-    assert {"MAX_POINTS", "STEP_BLOCK", "BLOWUP_LIMIT", "GROWTH_CAP"} <= set(names)
+    assert {"MAX_POINTS", "STEP_BLOCK", "BLOWUP_LIMIT", "DECAY_TOLERANCE"} <= set(names)
     assert [name for name in names if not re.search(rf"\b{name}\b", paragraph)] == []
