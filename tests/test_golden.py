@@ -103,19 +103,19 @@ SCAN_MODES = 120_000
 SCAN_SHA256 = {
     (1, 2): {
         "bounds.csv": "65195ce116140fd8af755d434a30df16d1376cf8774c4bed733677e7d9980e3d",
-        "feasibility.csv": "8b3b2d70025832570f47c053fc232b42ac6c7bc75d6b8c55d56055caef45557d",
+        "feasibility.csv": "7bac4c97297ab8701c662b71c0b16621abe5ee93b10d6aca133b1ae8b09687d0",
     },
     (2, 2): {
         "bounds.csv": "631f304609615803c6de6d58fe91ed2c1b6869f8688ee3f380d0f0e3438b8892",
-        "feasibility.csv": "e9844e24478ad7bc92718afbc3ee2b7fc0ed0158b343fb784fabc0f0cd8441ee",
+        "feasibility.csv": "2517b7d37b80af5c34389fdac8319e6d4dbfa204923029e1154419655b3f6c6c",
     },
     (3, 2): {
         "bounds.csv": "216cd472a20c4ef52cf2fb43cca1582cba87ecba9c826d125eb9e60677406630",
-        "feasibility.csv": "d4be326654af3d3b742eccd088926e5fd4c8528e3a59024459ddaaf1452a78e4",
+        "feasibility.csv": "10d0f4a064e0b2e99d550703c1bbda847975f37abd3c174d384101c95e5f7dc9",
     },
     (1, 1): {
         "bounds.csv": "bdb6b3b3f02f6fca8fba36aa17c9cb19b46b98288f3720b7f0f35a055ca0fddc",
-        "feasibility.csv": "8b3b2d70025832570f47c053fc232b42ac6c7bc75d6b8c55d56055caef45557d",
+        "feasibility.csv": "7bac4c97297ab8701c662b71c0b16621abe5ee93b10d6aca133b1ae8b09687d0",
     },
 }
 
