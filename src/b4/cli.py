@@ -613,14 +613,21 @@ def run_feasibility(config):
     index combination for positive definiteness.
     """
     params = config.system_params()
-    A = coupling_constants(params.a, params.b, params.c, params.d)
+    abcd = (params.a, params.b, params.c, params.d)
+    A = coupling_constants(*abcd)
     triple = feasible_triple(A)
     seqs = sequences_for_triple(triple, 6)
+    # A positive factor on a..d leaves definiteness as it is.  The sweep
+    # takes them over the power of two that puts the largest in [0.5, 1),
+    # so scaling a..d by a power of two cannot move a product out of
+    # float64 range and change the flag.
+    scale = math.ldexp(1.0, -math.frexp(max(abcd))[1])
+    abcd = [scale * x for x in abcd]
     ok = True
     for p in range(5):
         for q in range(p + 1):
             for r in range(q + 1):
-                matrix = brqp_matrix(r, q, p, seqs, params.a, params.b, params.c, params.d)
+                matrix = brqp_matrix(r, q, p, seqs, *abcd)
                 # all(), not min(): a NaN minor anywhere fails the sweep.
                 ok = ok and all(m > 0 for m in sylvester_minors(matrix))
     row = (A.A12, A.A13, A.A14, A.A23, A.A24, A.A34, *triple, ok)
