@@ -619,8 +619,8 @@ def run_feasibility(config):
     seqs = sequences_for_triple(triple, 6)
     # A positive factor on a..d leaves definiteness as it is.  The sweep
     # takes them over the power of two that puts the largest in [0.5, 1),
-    # so scaling a..d by a power of two cannot move a product out of
-    # float64 range and change the flag.
+    # so a..d and a..d times any power of two sweep the same matrices:
+    # unscaled, a minor could leave float64 range for one and not the other.
     scale = math.ldexp(1.0, -math.frexp(max(abcd))[1])
     abcd = [scale * x for x in abcd]
     ok = True
