@@ -56,15 +56,16 @@ def neumann_eigenvalues(Lx, Ly, count):
     """First `count` no-flux Laplacian eigenvalues of a rectangle.
 
     Values are pi^2 (j^2/Lx^2 + k^2/Ly^2) over j,k >= 0, ascending and
-    with multiplicity.  Pass Ly=None for a one-dimensional interval,
-    which keeps only the k=0 branch.  The result is built in place: the
-    rectangle's values under a cutoff go, band by band, into one array
-    that is sorted and cut to `count`, with no copy.
+    with multiplicity, for positive finite lengths.  Pass Ly=None for a
+    one-dimensional interval, which keeps only the k=0 branch.  The
+    result is built in place: the rectangle's values under a cutoff go,
+    band by band, into one array that is sorted and cut to `count`, with no copy.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if Lx <= 0 or (Ly is not None and Ly <= 0):
-        raise ValueError("domain lengths must be positive")
+    for length in (Lx, Ly):
+        if length is not None and not (math.isfinite(length) and length > 0):
+            raise ValueError("domain lengths must be positive and finite")
     if Ly is None:
         # pi^2 j^2 / Lx^2, evaluated in place in that order.
         mu = np.arange(count, dtype=float)
@@ -246,14 +247,10 @@ def dimension_bounds(params, N, Lx, Ly, max_modes):
     interval that Ly=None gives: the paper's bracket with its constants
     at 1, an evaluator of the formula rather than a claimed number.
     The report also holds the unstable-mode counts of the first
-    max_modes modes of the domain.  Lx and Ly, when given, must be
-    positive and finite.
+    max_modes modes of the domain, whose census checks Lx and Ly.
     """
     if N not in (1, 2, 3):
         raise ValueError("N must be 1, 2 or 3")
-    for length in (Lx, Ly):
-        if length is not None and not (math.isfinite(length) and length > 0):
-            raise ValueError("domain lengths must be positive and finite")
     base = lower_bound_base(params)
     clamped = base if base > 0 else 0
     if N % 2 == 0:

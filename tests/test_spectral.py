@@ -95,6 +95,17 @@ def test_eigenvalues_argument_guards():
         neumann_eigenvalues(-1.0, 1.0, 5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_census_rejects_lengths_that_are_not_positive_and_finite(bad):
+    # The interval and the rectangle, Lx and Ly: an infinite length gave
+    # all-zero eigenvalues, and NaN or inf failed with another error.
+    for Lx, Ly in ((bad, None), (bad, 2.0), (2.0, bad)):
+        with pytest.raises(ValueError, match="domain lengths must be positive and finite"):
+            neumann_eigenvalues(Lx, Ly, 4)
+        with pytest.raises(ValueError, match="domain lengths must be positive and finite"):
+            unstable_mode_count(SystemParams(), Lx, Ly, 50)
+
+
 def test_mode_matrix_trace_closed_form():
     rng = np.random.default_rng(2)
     for _ in range(30):
