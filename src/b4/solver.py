@@ -180,9 +180,10 @@ class _Stencil:
 
     ``chunks`` are the step's chunks (see the module docstring), which
     share two increments, used in turn, and the Laplacian's two scratch
-    arrays.  Given ``params``, the stencil holds ``diffusivities``,
-    (a, c, b, d), and each chunk the ``reaction_buffers`` of its rows.
-    ``record`` and the exact blow-up check share one array.
+    arrays.  Given ``params``, the stencil holds ``diffusivities``, (a,
+    c, b, d), and each chunk the ``reaction_buffers`` of its rows, with
+    (D1, D3, D2, D4) in that layout.  ``record`` and the exact blow-up
+    check share one array.
     """
 
     def __init__(self, data, dx, dy, bc, params=None):
@@ -210,6 +211,7 @@ class _Stencil:
             self.diffusivities = per_block(
                 np.array([[params.a], [params.c], [params.b], [params.d]])
             )
+            coupling = per_block(np.array([[params.D1], [params.D3], [params.D2], [params.D4]]))
         if count == 1:
             ranges = [(0, nx + 2 * gx)]
         else:
@@ -239,7 +241,7 @@ class _Stencil:
             reaction = None
             if params is not None:
                 x, y = whole[0][:2], whole[0][2:]
-                buffers = reaction_buffers(x, y, whole[2], whole[3], params, per_block)
+                buffers = reaction_buffers(x, y, whole[2], whole[3], params, coupling)
                 reaction = (x, y, buffers)
             self.chunks.append(
                 _Chunk(

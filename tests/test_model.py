@@ -21,7 +21,9 @@ def pair_rates(activators, inhibitors, params):
     x, y = np.asarray(activators, dtype=float), np.asarray(inhibitors, dtype=float)
     shape = (4, *np.broadcast_shapes(x.shape, y.shape)[1:])
     rates, work = np.empty(shape), np.empty(shape)
-    return reaction_fields(x, y, reaction_buffers(x, y, rates, work, params, lambda c: c))
+    rates_in_role_order = (params.D1, params.D3, params.D2, params.D4)
+    column = np.reshape(rates_in_role_order, (4,) + (1,) * (len(shape) - 1))
+    return reaction_fields(x, y, reaction_buffers(x, y, rates, work, params, column))
 
 
 def random_params(rng):
