@@ -438,8 +438,8 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, emit=None):
     after step_offset of a resumed one, whose start the earlier run
     emitted: the emissions of a run and of its resumption concatenate
     to those of the uninterrupted run.  t_end is mapped to the nearest
-    whole step count, cfg.total_steps, which must lie past step_offset.
-    Nothing is emitted before every check has passed.
+    whole step count, cfg.total_steps, which must lie past step_offset,
+    itself at least 0.  Nothing is emitted before every check has passed.
     """
     limit = stability_limit(params, state0)
     if cfg.dt > limit:
@@ -447,11 +447,11 @@ def simulate(state0, params, cfg, step_offset=0, snapshot_every=0, emit=None):
     ix, iy = cfg.probe
     if not (0 <= ix < state0.nx and 0 <= iy < state0.ny):
         raise ValueError(f"probe {cfg.probe} outside the {state0.nx}x{state0.ny} grid")
+    if step_offset < 0:
+        raise ValueError(f"step_offset {step_offset} is negative")
     total_steps = cfg.total_steps
     if total_steps <= step_offset:
-        raise ValueError(
-            f"t_end {cfg.t_end:g} is not past the starting step {step_offset}"
-        )
+        raise ValueError(f"t_end {cfg.t_end:g} is not past the starting step {step_offset}")
 
     dx, dy = state0.dx, state0.dy
     stencil = _Stencil(state0.data, dx, dy, state0.bc, params)

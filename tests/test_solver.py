@@ -228,6 +228,22 @@ def test_simulate_guards():
             )
 
 
+def test_simulate_rejects_a_negative_step_offset():
+    # A start before step 0 took the extra steps and emitted records at
+    # negative t, and a step-0 record that was not the initial state.
+    state = initial_condition(10, 1, 1.0, 1.0, stationary_solution(TABLE_PARAMS), 1e-3, seed=0)
+    emitted = []
+    with pytest.raises(ValueError, match="step_offset -3 is negative"):
+        simulate(
+            state,
+            TABLE_PARAMS,
+            SolverConfig(dt=1.0 / 24.0, t_end=1.0),
+            step_offset=-3,
+            emit=lambda *args: emitted.append(args),
+        )
+    assert emitted == []
+
+
 def test_simulate_blowup_diagnostics():
     grid = (4, 1, 1.0, 1.0)
     state = initial_condition(*grid, (1e5, 1e5, 1e5, 1e5), 0.0, seed=0)
