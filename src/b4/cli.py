@@ -39,13 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import (
-    brqp_matrix,
-    coupling_constants,
-    feasible_triple,
-    sequences_for_triple,
-    sylvester_minors,
-)
+from .functionals import coupling_constants, feasible_triple, form_matrix, sylvester_minors
+# Not called here: perfbench/layertrace.py patches both names on this module.
+from .functionals import brqp_matrix, sequences_for_triple
 from .model import BC_NEUMANN, BC_TAGS, SystemParams, stationary_solution
 from .solver import (
     BlowUpError,
@@ -606,30 +602,17 @@ def run_bounds(config):
 
 
 def run_feasibility(config):
-    """Write the coupling report and quadratic-form positivity sweep.
+    """Write the coupling report and quadratic-form positivity check.
 
-    The sweep builds the order-6 coefficient sequences for a generator
-    triple found from the diffusion ratios and checks every admissible
-    index combination for positive definiteness.
+    Every order-6 form matrix of the generator triple found from the
+    diffusion ratios is congruent to form_matrix(A, triple), so one
+    Sylvester check of that matrix decides them all.
     """
     params = config.system_params()
-    abcd = (params.a, params.b, params.c, params.d)
-    A = coupling_constants(*abcd)
+    A = coupling_constants(params.a, params.b, params.c, params.d)
     triple = feasible_triple(A)
-    seqs = sequences_for_triple(triple, 6)
-    # A positive factor on a..d leaves definiteness as it is.  The sweep
-    # takes them over the power of two that puts the largest in [0.5, 1),
-    # so a..d and a..d times any power of two sweep the same matrices:
-    # unscaled, a minor could leave float64 range for one and not the other.
-    scale = math.ldexp(1.0, -math.frexp(max(abcd))[1])
-    abcd = [scale * x for x in abcd]
-    ok = True
-    for p in range(5):
-        for q in range(p + 1):
-            for r in range(q + 1):
-                matrix = brqp_matrix(r, q, p, seqs, *abcd)
-                # all(), not min(): a NaN minor anywhere fails the sweep.
-                ok = ok and all(m > 0 for m in sylvester_minors(matrix))
+    # all(), not min(): a NaN minor writes false.
+    ok = all(m > 0 for m in sylvester_minors(form_matrix(A, triple)))
     row = (A.A12, A.A13, A.A14, A.A23, A.A24, A.A34, *triple, ok)
     header = "A12,A13,A14,A23,A24,A34,theta2,sigma2,rho2,all_minors_positive".split(",")
     return [_write_csv(Path(config.out_dir) / "feasibility.csv", header, [row])]

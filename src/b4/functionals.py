@@ -5,10 +5,12 @@ whose weights come from three geometric-ratio coefficient sequences,
 passed around as one plain (theta, sigma, rho) triple of arrays.
 Its second-derivative structure produces, for each index triple
 (r, q, p), a symmetric 4x4 matrix whose positive definiteness makes the
-diffusive part of d/dt eval_Ln nonpositive.  Definiteness reduces to
-three scalar inequalities on the sequence generators (theta2, sigma2,
-rho2), checked here together with a feasible generator triple in
-closed form and the leading principal minors of each matrix.
+diffusive part of d/dt eval_Ln nonpositive.  Each is D N D, D diagonal,
+for one N = form_matrix(A, triple) of the coupling constants and the
+generators (theta2, sigma2, rho2), so definiteness reduces to three
+scalar inequalities on the generators, checked here together with a
+feasible generator triple in closed form and the leading principal
+minors of a matrix.
 """
 
 from __future__ import annotations
@@ -135,6 +137,23 @@ def feasible_triple(A):
     return theta2, sigma2, rho2
 
 
+def form_matrix(A, triple):
+    """The unit-diagonal N with brqp_matrix(r, q, p, ...) = D N D, D diagonal.
+
+    Each sequence x has x[r] x[r+2] / x[r+1]^2 = x2, so B_ij / sqrt(B_ii
+    B_jj) is A_ij over the roots of the generators between i and j,
+    whatever (r, q, p), the sequences' seeds or a factor on a..d.  N holds
+    no product of sequence entries, which could leave float64 range.
+    """
+    t, s, r = (math.sqrt(x2) for x2 in triple)  # roots of theta2, sigma2, rho2
+    N = np.eye(4)
+    upper = np.triu_indices(4, 1)
+    N[upper] = N.T[upper] = (
+        A.A12 / t, A.A13 / (t * s), A.A14 / (t * s * r), A.A23 / s, A.A24 / (s * r), A.A34 / r
+    )
+    return N
+
+
 def build_sequences(x0, C, x2, n):
     """Sequence of length n+1 with ratios x[r+1]/x[r] = C * x2**r.
 
@@ -191,6 +210,7 @@ def brqp_matrix(r, q, p, seqs, a, b, c, d):
     Diagonal entries pair one diffusivity with a product of sequence
     entries; off-diagonal entries carry the averaged diffusivities
     (x+y)/2.  Requires p+2 (and hence q+2, r+2) within sequence length.
+    Congruent to form_matrix(A, triple), which has no such products.
     """
     theta, sigma, rho = seqs
     if not 0 <= r <= q <= p:

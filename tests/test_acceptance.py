@@ -32,6 +32,7 @@ from b4.functionals import (
     coupling_constants,
     decay_monitor,
     feasible_triple,
+    form_matrix,
     hn_fields,
     sequences_for_triple,
     shifted_sequences,
@@ -211,13 +212,19 @@ def test_quadratic_form_positivity_suite():
         a, b, c, d = np.exp(rng.uniform(math.log(0.01), math.log(1.0), 4))
         A = coupling_constants(a, b, c, d)
         triple = feasible_triple(A)
+        N = form_matrix(A, triple)
         seqs = sequences_for_triple(triple, n)
         for arr in seqs:
             assert np.max(arr[1:] / arr[:-1]) < 1.0
         for p in range(n - 1):
             for q in range(p + 1):
                 for r in range(q + 1):
-                    direct = sylvester_minors(brqp_matrix(r, q, p, seqs, a, b, c, d))
+                    B = brqp_matrix(r, q, p, seqs, a, b, c, d)
+                    # B = D N D: each normalised entry is a few roundings
+                    # (of 1.1e-16 each) from N's.
+                    root = np.sqrt(np.diag(B))
+                    assert np.max(np.abs(B / np.outer(root, root) - N)) <= 1e-15, (r, q, p)
+                    direct = sylvester_minors(B)
                     assert all(m > 0 for m in direct), (r, q, p)
                     closed = minor_closed_forms(r, q, p, triple, seqs, a, b, c, d)
                     assert abs(direct[1] - closed[1]) <= 1e-9 * abs(closed[1])

@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from b4 import functionals
@@ -17,6 +17,7 @@ from b4.functionals import (
     default_sequence_generators,
     eval_Ln,
     feasible_triple,
+    form_matrix,
     hn_fields,
     sequences_for_triple,
     shifted_sequences,
@@ -176,6 +177,26 @@ def test_feasible_triple_is_strict_and_minimal(abcd):
     if rho2 > 1.0:
         _, (product, product_target) = margin_targets(A, (theta2, sigma2, rho2 * lowered))
         assert product < product_target
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    abcd=st.one_of(
+        diffusivities(SCAN_RANGE), diffusivities(MIDDLE_RANGE), diffusivities(WIDE_RANGE)
+    ),
+    factors=st.lists(st.floats(-4.0, 4.0).map(lambda e: 2.0**e), min_size=3, max_size=3),
+)
+def test_sylvester_on_the_form_matrix_decides_the_conditions(abcd, factors):
+    # The feasible triple times 2^-4..2^4, generator by generator, gives
+    # feasible and infeasible triples alike.  Each entry of N is off by
+    # a few units in 1e-16, which moves its eigenvalues by at most about
+    # 2e-15: where one is within 1e-14 of zero, float64 cannot tell.
+    A = coupling_constants(*abcd)
+    triple = [x2 * f for x2, f in zip(feasible_triple(A), factors)]
+    N = form_matrix(A, triple)
+    assume(np.min(np.abs(np.linalg.eigvalsh(N))) > 1e-14)
+    positive = all(m > 0 for m in sylvester_minors(N))
+    assert positive == check_conditions(A, *triple).all_pass
 
 
 def test_feasible_triple_rejects_a_triple_that_fails_its_check(monkeypatch):

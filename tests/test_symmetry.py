@@ -8,7 +8,7 @@ reference code.
 - Scaling: lengths times 2 with diffusivities times 4 leaves every
   d_i * mu_j unchanged, so the mode census counts the same modes; and
   diffusivities times 4 leave every coupling constant, so the
-  feasibility row, unchanged.
+  feasibility row, which depends on them alone, unchanged.
 
 Each transformed run does the same float operations on the same
 operands as the plain one, so the results must be bit-equal, and a run
@@ -20,10 +20,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from b4.cli import parse_config, run_feasibility
+from b4.functionals import coupling_constants, feasible_triple, form_matrix
 from b4.model import BC_TAGS, GridState, SystemParams, stationary_solution
 from b4.solver import BlowUpError, SolverConfig, initial_condition, simulate, stability_limit
 from b4.spectral import unstable_mode_count
@@ -135,11 +137,15 @@ def test_census_counts_are_unchanged_by_scaling(params, L, two_d, modes):
     assert unstable_mode_count(scaled, 2.0 * L, 2.0 * L if two_d else None, modes) == plain
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=20, deadline=None)
 @given(abcd=st.lists(st.floats(-8.0, 2.0).map(lambda e: 10.0**e), min_size=4, max_size=4))
-# A sweep over a..d as given read true for these and false for them
-# times 4, where a 4x4 minor left float64 range.
+# The sweep of 35 order-6 matrices that form_matrix replaced read true
+# for these and false for them times 4: a 4x4 minor left float64 range.
 @example(abcd=[1e-8, 100.0, 0.039982713326139854, 100.0])
+# Here the smallest eigenvalue of N is 2e-16, below the rounding of its
+# entries, and the row reads false.
+@example(abcd=[100.0, 1.000000000000002e-08, 1.000000000000002e-08, 100.0])
 def test_feasibility_row_is_unchanged_by_scaling(abcd):
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,3 +154,9 @@ def test_feasibility_row_is_unchanged_by_scaling(abcd):
             (path,) = run_feasibility(parse_config(f"{keys}out_dir = {tmp}/{k}\n"))
             rows.append(Path(path).read_bytes())
     assert rows[0] == rows[1]
+    # The triple is feasible, so the row is true wherever float64 can
+    # tell: each entry of N is off by a few units in 1e-16, which moves
+    # its eigenvalues by at most about 2e-15.
+    A = coupling_constants(*abcd)
+    smallest = np.linalg.eigvalsh(form_matrix(A, feasible_triple(A)))[0]
+    assert rows[0].endswith(b",true\n") or smallest < 1e-14
