@@ -10,7 +10,7 @@ Submodules
 ----------
 model        parameters, states, reaction terms
 solver       explicit finite-difference integration and checkpoints
-functionals  coupling constants, coefficient sequences, form matrices
+functionals  coupling constants, coefficient sequences, positivity conditions
 spectral     mode spectra, unstable-mode counts, dimension bounds
 tsa          delay embedding, correlation dimension, Lyapunov exponents
 cli          run configuration and the command-line entry point (``b4``)

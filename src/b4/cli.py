@@ -39,9 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import coupling_constants, feasible_triple, form_matrix, sylvester_minors
-# Not called here: perfbench/layertrace.py patches both names on this module.
-from .functionals import brqp_matrix, sequences_for_triple
+from .functionals import check_conditions, coupling_constants, feasible_triple
+# Not called here: perfbench/layertrace.py patches these names on this module.
+from .functionals import brqp_matrix, sequences_for_triple, sylvester_minors
 from .model import BC_NEUMANN, BC_TAGS, SystemParams, stationary_solution
 from .solver import (
     BlowUpError,
@@ -67,7 +67,6 @@ _CHECKS = {
     "u64": (lambda v: 0 <= v < 2**64, "must fit in an unsigned 64-bit integer"),
     "bc": (lambda v: v in BC_TAGS, f"must be one of {sorted(BC_TAGS)}"),
     "column": (lambda v: v in ("u", "v", "w", "z"), "must be one of u, v, w, z"),
-    "n123": (lambda v: v in (1, 2, 3), "must be 1, 2, or 3"),
 }
 
 
@@ -119,8 +118,7 @@ class RunConfig:
     # time-series analysis
     series_file: str = ""
     series_column: str = _key("u", "column")
-    # dimension bounds and feasibility
-    N: int = _key(2, "n123")
+    # dimension bounds
     max_modes: int = _key(1000, "ge1")
 
     def system_params(self):
@@ -580,16 +578,22 @@ def run_analyze(config):
 def run_bounds(config):
     """Write the attractor-dimension bracket for the configured system.
 
-    The mode census linearizes about the uniform equilibrium, which
-    exists only with no-flux walls, so bc must be neumann.
+    The domain is the grid's directions with more than one node, as in
+    ``simulate``: the interval of Lx or Ly on an n x 1 or 1 x n grid,
+    else the Lx x Ly rectangle; a 1 x 1 grid raises ConfigError.  The
+    mode census linearizes about the uniform equilibrium, which exists
+    only with no-flux walls, so bc must be neumann.
     """
     if config.bc != BC_NEUMANN:
         raise ConfigError(
             f"bc = {config.bc}: bounds needs bc = {BC_NEUMANN}, since under "
             f"{config.bc} the uniform state is not an equilibrium"
         )
-    Ly = None if config.N == 1 else config.Ly
-    report = dimension_bounds(config.system_params(), config.N, config.Lx, Ly, config.max_modes)
+    lengths = [L for n, L in ((config.nx, config.Lx), (config.ny, config.Ly)) if n > 1]
+    if not lengths:
+        raise ConfigError("nx = ny = 1: bounds needs more than one node in some direction")
+    Lx, Ly = (*lengths, None)[:2]
+    report = dimension_bounds(config.system_params(), Lx, Ly, config.max_modes)
     row = (
         float(report.lower_bound_base),
         float(report.lower),
@@ -605,14 +609,14 @@ def run_feasibility(config):
     """Write the coupling report and quadratic-form positivity check.
 
     Every order-6 form matrix of the generator triple found from the
-    diffusion ratios is congruent to form_matrix(A, triple), so one
-    Sylvester check of that matrix decides them all.
+    diffusion ratios is congruent to one matrix N whose leading minors
+    are the condition margins in closed form (``b4.functionals``), so
+    check_conditions decides them all.
     """
     params = config.system_params()
     A = coupling_constants(params.a, params.b, params.c, params.d)
     triple = feasible_triple(A)
-    # all(), not min(): a NaN minor writes false.
-    ok = all(m > 0 for m in sylvester_minors(form_matrix(A, triple)))
+    ok = check_conditions(A, *triple).all_pass
     row = (A.A12, A.A13, A.A14, A.A23, A.A24, A.A34, *triple, ok)
     header = "A12,A13,A14,A23,A24,A34,theta2,sigma2,rho2,all_minors_positive".split(",")
     return [_write_csv(Path(config.out_dir) / "feasibility.csv", header, [row])]
@@ -678,6 +682,9 @@ def main(argv=None):
         files = runners[args.command](replace(parse_config(text), **overrides))
     except (ConfigError, OSError) as exc:
         print(f"b4: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"b4: out of memory: {exc}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"b4: numerical failure: {exc}", file=sys.stderr)

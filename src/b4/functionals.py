@@ -6,11 +6,13 @@ passed around as one plain (theta, sigma, rho) triple of arrays.
 Its second-derivative structure produces, for each index triple
 (r, q, p), a symmetric 4x4 matrix whose positive definiteness makes the
 diffusive part of d/dt eval_Ln nonpositive.  Each is D N D, D diagonal,
-for one N = form_matrix(A, triple) of the coupling constants and the
-generators (theta2, sigma2, rho2), so definiteness reduces to three
-scalar inequalities on the generators, checked here together with a
-feasible generator triple in closed form and the leading principal
-minors of a matrix.
+for one unit-diagonal N of the coupling constants and the generators
+(theta2, sigma2, rho2), whose leading minors are the margins of three
+scalar inequalities on the generators in closed form:
+d2 = margin1/theta2, d3 = margin2/(theta2 sigma2) and
+d4 = margin3/(margin1 theta2 sigma2^2 rho2).  Those are checked here,
+with no determinant, together with a feasible generator triple in
+closed form.
 """
 
 from __future__ import annotations
@@ -114,10 +116,8 @@ def feasible_triple(A):
     lam >= e13^2 + 1, a margin over condition 2 (lam > 0), and rho2 the
     smallest value of at least one with lam*vee >= 2*gam^2 + 1, a margin
     over condition 3.  lam is linear in sigma2, and gam does not depend
-    on rho2 while vee is linear in it, so both have a closed form.  The
-    triple is checked against all three conditions, since rounding in
-    the formulas could leave one unmet; raises ValueError if one is, or
-    if A12 is so large that A12^2 + 1 rounds to A12^2.
+    on rho2 while vee is linear in it, so both have a closed form.
+    Raises ValueError if A12 is so large that A12^2 + 1 rounds to A12^2.
     """
     theta2 = A.A12**2 + 1.0
     t = theta2 - A.A12**2
@@ -132,26 +132,7 @@ def feasible_triple(A):
     sigma2 = A.A23**2 + (2.0 * e13**2 + 1.0) / t
     lam, _, gam = _condition_terms(A, theta2, sigma2, 1.0)
     rho2 = max(1.0, (A.A24**2 + ((2.0 * gam**2 + 1.0) / lam + e14**2) / t) / sigma2)
-    if not check_conditions(A, theta2, sigma2, rho2).all_pass:
-        raise ValueError(f"rounding left the triple {(theta2, sigma2, rho2)} infeasible")
     return theta2, sigma2, rho2
-
-
-def form_matrix(A, triple):
-    """The unit-diagonal N with brqp_matrix(r, q, p, ...) = D N D, D diagonal.
-
-    Each sequence x has x[r] x[r+2] / x[r+1]^2 = x2, so B_ij / sqrt(B_ii
-    B_jj) is A_ij over the roots of the generators between i and j,
-    whatever (r, q, p), the sequences' seeds or a factor on a..d.  N holds
-    no product of sequence entries, which could leave float64 range.
-    """
-    t, s, r = (math.sqrt(x2) for x2 in triple)  # roots of theta2, sigma2, rho2
-    N = np.eye(4)
-    upper = np.triu_indices(4, 1)
-    N[upper] = N.T[upper] = (
-        A.A12 / t, A.A13 / (t * s), A.A14 / (t * s * r), A.A23 / s, A.A24 / (s * r), A.A34 / r
-    )
-    return N
 
 
 def build_sequences(x0, C, x2, n):
@@ -210,7 +191,7 @@ def brqp_matrix(r, q, p, seqs, a, b, c, d):
     Diagonal entries pair one diffusivity with a product of sequence
     entries; off-diagonal entries carry the averaged diffusivities
     (x+y)/2.  Requires p+2 (and hence q+2, r+2) within sequence length.
-    Congruent to form_matrix(A, triple), which has no such products.
+    Congruent to the module docstring's N, which has no such products.
     """
     theta, sigma, rho = seqs
     if not 0 <= r <= q <= p:

@@ -21,7 +21,7 @@ eigenvalues are enumerated in bands of about as many lattice values.
 Every test is per mode, so the block size never changes a count.
 
 Bound formulas accept exact rational inputs: with Fraction-valued
-parameters and even N the lower-bound base stays a Fraction.
+parameters the base and the rectangle's lower bound stay Fractions.
 """
 
 import math
@@ -239,25 +239,22 @@ def lower_bound_base(params):
     return _trace_bracket(params) / (params.a + params.b + params.c + params.d)
 
 
-def dimension_bounds(params, N, Lx, Ly, max_modes):
+def dimension_bounds(params, Lx, Ly, max_modes):
     """Attractor-dimension bound report for the Lx x Ly rectangle.
 
-    lower = max(base, 0)^(N/2) with base from lower_bound_base, and
-    upper = |Omega| + 1, where |Omega| is Lx * Ly, or Lx for the
-    interval that Ly=None gives: the paper's bracket with its constants
-    at 1, an evaluator of the formula rather than a claimed number.
-    The report also holds the unstable-mode counts of the first
-    max_modes modes of the domain, whose census checks Lx and Ly.
+    Ly=None gives the interval of length Lx.  lower = max(base, 0)^(N/2),
+    with base from lower_bound_base and N = 1 or 2 the domain's dimension,
+    and upper = |Omega| + 1: the paper's bracket with its constants at 1,
+    an evaluator of the formula rather than a claimed number.  The report
+    also holds the unstable-mode counts of the first max_modes modes of
+    the domain, whose census checks Lx and Ly.
     """
-    if N not in (1, 2, 3):
-        raise ValueError("N must be 1, 2 or 3")
     base = lower_bound_base(params)
     clamped = base if base > 0 else 0
-    if N % 2 == 0:
-        lower = clamped ** (N // 2)
+    if Ly is None:
+        lower, volume = math.sqrt(clamped), Lx
     else:
-        lower = math.sqrt(clamped) ** N
-    volume = Lx if Ly is None else Lx * Ly
+        lower, volume = clamped, Lx * Ly
     upper = float(volume) + 1.0
 
     trace_count, full_count = unstable_mode_count(params, Lx, Ly, max_modes)

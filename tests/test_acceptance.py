@@ -32,7 +32,6 @@ from b4.functionals import (
     coupling_constants,
     decay_monitor,
     feasible_triple,
-    form_matrix,
     hn_fields,
     sequences_for_triple,
     shifted_sequences,
@@ -60,7 +59,7 @@ from b4.tsa import (
     embed,
     largest_lyapunov,
 )
-from test_functionals import bordered_minor_parts, minor_closed_forms
+from test_functionals import bordered_minor_parts, form_matrix, minor_closed_forms
 from test_model import pair_rates
 from test_solver import step
 from test_spectral import extract_Kprime

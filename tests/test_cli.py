@@ -22,6 +22,7 @@ from b4.cli import (
     run_simulate,
     serialize,
 )
+from b4.functionals import check_conditions, coupling_constants
 from b4.model import GridState, SystemParams, stationary_solution
 from b4.solver import initial_condition, load_checkpoint, save_checkpoint
 from b4.spectral import dimension_bounds
@@ -76,15 +77,14 @@ def test_parse_errors_name_the_line():
         parse_config("bc = slippery")
     with pytest.raises(ConfigError, match="finite"):
         parse_config("alpha = inf")
-    with pytest.raises(ConfigError, match="1, 2, or 3"):
-        parse_config("N = 4")
 
 
 # The analysis settings and bound prefactors that are fixed, not keys.
 FIXED_SETTINGS = ["threshold", "m_max", "theiler", "K_prime", "K1", "C_upper"]
 
 
-@pytest.mark.parametrize("key", ["whatever", *FIXED_SETTINGS])
+# N is not a key either: bounds takes its domain's dimension from the grid.
+@pytest.mark.parametrize("key", ["whatever", "N", *FIXED_SETTINGS])
 def test_unknown_key_names_its_line(tmp_path, capsys, key):
     with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{key}'$"):
         parse_config(f"alpha = 1\nbeta = 2\n{key} = 3\n")
@@ -681,7 +681,7 @@ def test_run_bounds_matches_library_call(tmp_path):
     run_bounds(cfg)
     header, body = read_csv(tmp_path / "bounds.csv")
     assert header == ["base", "lower", "trace_count", "full_count", "upper"]
-    report = dimension_bounds(SystemParams(), 2, 500.0, 500.0, 150)
+    report = dimension_bounds(SystemParams(), 500.0, 500.0, 150)
     row = body[0]
     assert float(row[0]) == float(report.lower_bound_base)
     assert float(row[1]) == float(report.lower)
@@ -696,6 +696,50 @@ def test_bounds_rejects_zero_walls(tmp_path, capsys):
     assert main(["bounds", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "bc = dirichlet0" in err and "numerical failure" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# The coupled chain of the cycle-versus-chaos acceptance test and of the
+# benchmark's chain1d workload.
+CHAIN_KEYS = "nx = 200\nny = 1\nbeta = 5.9\na = 1e-6\nb = 2e-6\nc = 3e-6\nd = 4e-6\nLx = 0.2985\n"
+
+
+def bounds_row(tmp_path, name, text):
+    """The bounds.csv row that ``b4 bounds`` writes for config text."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text + f"out_dir = {tmp_path / name}\n")
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    return (tmp_path / name / "bounds.csv").read_text().splitlines()[1]
+
+
+def test_bounds_on_a_chain_counts_its_interval(tmp_path, capsys):
+    # A 200 x 1 chain is the interval of Lx (N = 1): lower = sqrt(base),
+    # upper = Lx + 1, and the census counts the interval's modes.
+    row = bounds_row(tmp_path, "chain", CHAIN_KEYS)
+    assert row == "152390.00000000009,390.37161782076333,38,88,1.2985"
+
+
+def test_bounds_of_a_chain_along_x_or_y_agree(tmp_path, capsys):
+    column = CHAIN_KEYS.replace("nx = 200\nny = 1", "nx = 1\nny = 200").replace("Lx", "Ly")
+    assert bounds_row(tmp_path, "column", column) == bounds_row(tmp_path, "chain", CHAIN_KEYS)
+
+
+def test_bounds_on_a_single_node_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "node.cfg"
+    cfg.write_text(f"nx = 1\nny = 1\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    assert "nx = ny = 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bounds_out_of_memory_exits_1_and_writes_nothing(tmp_path, capsys):
+    # The interval's mode list of 1e15 modes is a 7 PiB array, which
+    # numpy refuses at once, before it allocates anything.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"ny = 1\nmax_modes = 1000000000000000\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("b4: out of memory: ") and "Traceback" not in err, err
     assert not (tmp_path / "out").exists()
 
 
@@ -726,6 +770,19 @@ def test_run_feasibility_equal_diffusivities(tmp_path):
     assert all(float(x) == 1.0 for x in row[:6])
     assert row[9] == "true"
     assert float(row[6]) > 1.0
+
+
+def test_feasibility_writes_false_when_the_conditions_fail(tmp_path, monkeypatch, capsys):
+    # all_minors_positive is check_conditions' verdict on the triple, and
+    # a false one is a result, not a failure.
+    failing = check_conditions(coupling_constants(1, 2, 3, 4), 1.0, 1.0, 1.0)
+    assert not failing.all_pass
+    monkeypatch.setattr(cli, "check_conditions", lambda *args: failing)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out_dir = {tmp_path}\n")
+    assert main(["feasibility", "--config", str(cfg)]) == 0
+    _, body = read_csv(tmp_path / "feasibility.csv")
+    assert body[0][9] == "false"
 
 
 def test_feasibility_names_a_ratio_float64_cannot_hold(tmp_path, capsys):

@@ -43,7 +43,6 @@ VALID = {
     "out_dir": TEXT,
     "series_file": TEXT,
     "series_column": st.sampled_from("uvwz"),
-    "N": st.sampled_from([1, 2, 3]),
     "max_modes": st.integers(min_value=1, max_value=2**70),
 }
 
@@ -59,7 +58,6 @@ OUT_OF_RANGE = [
     ("ic_seed", "-1", "must fit in an unsigned 64-bit integer"),
     ("bc", "periodic", "must be one of"),
     ("series_column", "t", "must be one of u, v, w, z"),
-    ("N", "4", "must be 1, 2, or 3"),
 ]
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from b4 import functionals
 from b4.functionals import (
     _condition_terms,
     brqp_matrix,
@@ -17,7 +16,6 @@ from b4.functionals import (
     default_sequence_generators,
     eval_Ln,
     feasible_triple,
-    form_matrix,
     hn_fields,
     sequences_for_triple,
     shifted_sequences,
@@ -77,6 +75,24 @@ def bordered_minor_parts(M):
     Q = d12 * (m[0, 0] * m[3, 3] - m[0, 3] ** 2) - b14**2
     R = d12 * (m[0, 0] * m[2, 3] - m[0, 2] * m[0, 3]) - b13 * b14
     return P, Q, R
+
+
+def form_matrix(A, triple):
+    """The unit-diagonal N with brqp_matrix(r, q, p, ...) = D N D, D diagonal.
+
+    Each sequence x has x[r] x[r+2] / x[r+1]^2 = x2, so B_ij / sqrt(B_ii
+    B_jj) is A_ij over the roots of the generators between i and j,
+    whatever (r, q, p), the sequences' seeds or a factor on a..d.  The
+    congruence oracle of the form matrices: ``b4`` takes N's leading
+    minors from check_conditions' margins, in closed form.
+    """
+    t, s, r = (math.sqrt(x2) for x2 in triple)  # roots of theta2, sigma2, rho2
+    N = np.eye(4)
+    upper = np.triu_indices(4, 1)
+    N[upper] = N.T[upper] = (
+        A.A12 / t, A.A13 / (t * s), A.A14 / (t * s * r), A.A23 / s, A.A24 / (s * r), A.A34 / r
+    )
+    return N
 
 
 def test_coupling_constants_basics():
@@ -199,13 +215,26 @@ def test_sylvester_on_the_form_matrix_decides_the_conditions(abcd, factors):
     assert positive == check_conditions(A, *triple).all_pass
 
 
-def test_feasible_triple_rejects_a_triple_that_fails_its_check(monkeypatch):
-    A = coupling_constants(1, 2, 3, 4)
-    failing = check_conditions(A, 1.0, 1.0, 1.0)
-    assert not failing.all_pass
-    monkeypatch.setattr(functionals, "check_conditions", lambda *args: failing)
-    with pytest.raises(ValueError, match="infeasible"):
-        feasible_triple(A)
+@settings(max_examples=300, deadline=None)
+@given(
+    abcd=st.one_of(
+        diffusivities(SCAN_RANGE), diffusivities(MIDDLE_RANGE), diffusivities(WIDE_RANGE)
+    )
+)
+def test_form_matrix_minors_are_the_condition_margins(abcd):
+    # The closed forms b4 feasibility relies on.  The determinants are
+    # the less accurate side: their relative error grows with N's
+    # condition number, so only N whose smallest eigenvalue exceeds 1e-4
+    # (condition below 4e4) is compared.
+    A = coupling_constants(*abcd)
+    theta2, sigma2, rho2 = triple = feasible_triple(A)
+    N = form_matrix(A, triple)
+    assume(np.linalg.eigvalsh(N)[0] > 1e-4)
+    report = check_conditions(A, *triple)
+    m1, m2, m3 = report.margin1, report.margin2, report.margin3
+    closed = (m1 / theta2, m2 / (theta2 * sigma2), m3 / (m1 * theta2 * sigma2**2 * rho2))
+    for got, want in zip(sylvester_minors(N)[1:], closed):
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_build_sequences_examples():

@@ -211,26 +211,26 @@ def test_lower_bound_base_exact_rational():
 
 
 def test_dimension_bounds_report():
-    report = dimension_bounds(FRACTION_NINE, 2, 1, None, 20)
+    # On the rectangle (N = 2) lower = base, exact.
+    report = dimension_bounds(FRACTION_NINE, 1, 1, 20)
     assert isinstance(report, BoundReport)
     assert report.lower_bound_base == 152390
     assert isinstance(report.lower, Fraction) and report.lower == 152390
     counts = (report.trace_unstable_count, report.full_unstable_count)
-    assert counts == unstable_mode_count(FRACTION_NINE, 1, None, 20)
+    assert counts == unstable_mode_count(FRACTION_NINE, 1, 1, 20)
+    # On the interval (N = 1) lower = sqrt(base).
+    assert dimension_bounds(FRACTION_NINE, 1, None, 1).lower == math.sqrt(152390)
 
     flat = SystemParams(alpha=2, beta=5.5, D1=0.25, D2=0.25, D3=0.25, D4=0.25)
     assert lower_bound_base(flat) == 0
-    assert dimension_bounds(flat, 2, 1, None, 1).lower == 0
+    assert dimension_bounds(flat, 1, None, 1).lower == 0
 
-    damped = dimension_bounds(SystemParams(beta=1.0), 2, 1, None, 1)
+    damped = dimension_bounds(SystemParams(beta=1.0), 1, 1, 1)
     assert damped.lower == 0
 
     # upper = |Omega| + 1: the interval's length, or the rectangle's area.
-    assert dimension_bounds(SystemParams(), 1, 2.0, None, 1).upper == 3.0
-    assert dimension_bounds(SystemParams(), 2, 2.0, 3.0, 1).upper == 7.0
-
-    with pytest.raises(ValueError):
-        dimension_bounds(SystemParams(), 4, 1, None, 1)
+    assert dimension_bounds(SystemParams(), 2.0, None, 1).upper == 3.0
+    assert dimension_bounds(SystemParams(), 2.0, 3.0, 1).upper == 7.0
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
@@ -238,12 +238,12 @@ def test_dimension_bounds_report():
 def test_dimension_bounds_rejects_lengths_that_are_not_positive_and_finite(bad, max_modes):
     for Lx, Ly in ((bad, 2.0), (2.0, bad), (bad, None)):
         with pytest.raises(ValueError, match="positive and finite"):
-            dimension_bounds(SystemParams(), 2, Lx, Ly, max_modes)
+            dimension_bounds(SystemParams(), Lx, Ly, max_modes)
 
 
 def test_dimension_bounds_with_mode_counts():
     p = SystemParams(beta=5.9, a=0.1, b=0.1, c=0.1, d=0.1)
-    report = dimension_bounds(p, 2, math.pi, math.pi, 50)
+    report = dimension_bounds(p, math.pi, math.pi, 50)
     want = unstable_mode_count(p, math.pi, math.pi, 50)
     assert (report.trace_unstable_count, report.full_unstable_count) == want
 

@@ -7,6 +7,7 @@
 on a missing name instead.
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -37,6 +38,32 @@ def test_tracer_patches_its_names_and_restores_every_callable():
         tracer.restore()
     for module, saved in zip(MODULES, before):
         assert callables(module) == saved, module.__name__
+
+
+def test_cli_reads_every_functionals_import_the_tracer_does_not_patch():
+    # b4.cli keeps some b4.functionals names only for the tracer to patch
+    # there.  Any other name it imports and never reads is dead, and so
+    # is a tracer-only name the tracer stops patching.
+    tree = ast.parse(Path(b4.cli.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "functionals"
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        patched = {attr for module, attr, _ in tracer.patched if module is b4.cli}
+    finally:
+        tracer.restore()
+    tracer_only = {"brqp_matrix", "sequences_for_triple", "sylvester_minors"}
+    assert imported - read == patched - read == tracer_only
 
 
 def test_reaction_calls_count_the_integrated_steps(tmp_path, capsys):
