@@ -635,7 +635,7 @@ def _build_parser():
         "simulate": "integrate the system and write probe/norm CSV files",
         "analyze": "estimate delay, dimension, and the top Lyapunov exponent",
         "bounds": "write the attractor-dimension bracket",
-        "feasibility": "write the coupling report and positivity sweep",
+        "feasibility": "write the coupling report and positivity check",
     }
     for name, help_text in helps.items():
         p = sub.add_parser(name, help=help_text)

@@ -6,13 +6,13 @@ side by side: the positive-trace criterion and the full eigenvalue
 check.  The first implies the second, never the reverse, so both are
 reported rather than silently picking one.
 
-The full check runs piecewise in mu.  The characteristic polynomial's
-coefficients c1..c4 are exact polynomials in mu, and stability can only
-change where c1, c3, c4 or the Routh-Hurwitz determinant c1 c2 c3 -
-c3^2 - c1^2 c4 crosses zero.  The pieces between those roots each get
-one eigenvalue test at their midpoint; only the modes where c4 or the
-determinant is within rounding of zero are tested one by one.  The
-count is the one an eigenvalue test of every mode gives.
+The full check is the Routh-Hurwitz criterion, mode by mode.  The
+characteristic polynomial's coefficients c1..c4 are exact polynomials
+in mu, and a mode is stable exactly when c1, c3, c4 and the Hurwitz
+determinant c1 c2 c3 - c3^2 - c1^2 c4 are all positive.  Only the modes
+where c4 or the determinant is within rounding of zero get an
+eigenvalue test of their own.  The count is the one an eigenvalue test
+of every mode gives.
 
 Memory stays bounded: the sorted mode list, 8 bytes a mode, is the only
 array that grows with the mode count.  The census classifies it in
@@ -52,21 +52,34 @@ class BoundReport:
     full_unstable_count: int
 
 
+def _out_of_range(length):
+    return ValueError(f"domain length {length!r} puts the mode eigenvalues outside float64 range")
+
+
 def neumann_eigenvalues(Lx, Ly, count):
     """First `count` no-flux Laplacian eigenvalues of a rectangle.
 
     Values are pi^2 (j^2/Lx^2 + k^2/Ly^2) over j,k >= 0, ascending and
-    with multiplicity, for positive finite lengths.  Pass Ly=None for a
-    one-dimensional interval, which keeps only the k=0 branch.  The
-    result is built in place: the rectangle's values under a cutoff go,
-    band by band, into one array that is sorted and cut to `count`, with no copy.
+    with multiplicity, for positive finite lengths that keep them in
+    float64 range.  Pass Ly=None for a one-dimensional interval, which
+    keeps only the k=0 branch.  The result is built in place: the
+    rectangle's values under a cutoff go, band by band, into one array
+    that is sorted and cut to `count`, with no copy.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     for length in (Lx, Ly):
-        if length is not None and not (math.isfinite(length) and length > 0):
+        if length is None:
+            continue
+        if not (math.isfinite(length) and length > 0):
             raise ValueError("domain lengths must be positive and finite")
+        # Then pi^2 / L^2, the scale of the values, does not underflow;
+        # where it overflows, so does the largest value checked below.
+        if not 0.0 < length * length < math.inf:
+            raise _out_of_range(length)
     if Ly is None:
+        if not math.isfinite(math.pi**2 * (count - 1) ** 2 / Lx**2):
+            raise _out_of_range(Lx)
         # pi^2 j^2 / Lx^2, evaluated in place in that order.
         mu = np.arange(count, dtype=float)
         np.multiply(mu, mu, mu)
@@ -83,6 +96,9 @@ def neumann_eigenvalues(Lx, Ly, count):
     bound = 4.0 * math.pi * count / (Lx * Ly) * 1.3 + 16.0 * math.pi**2 * (
         1.0 / Lx**2 + 1.0 / Ly**2
     )
+    # No lattice value computed below exceeds 3.125 times the cutoff.
+    if not math.isfinite(4.0 * bound):
+        raise _out_of_range(min(Lx, Ly))
     jmax = int(math.sqrt(bound) * Lx / math.pi) + 1
     kmax = int(math.sqrt(bound) * Ly / math.pi) + 1
     jj = (np.arange(jmax + 1, dtype=float) / Lx) ** 2
@@ -166,22 +182,15 @@ def _any_unstable(base, ramp, mus):
     return np.linalg.eigvals(stack).real.max(axis=1) > 0.0
 
 
-def _sorted_distinct(values):
-    """np.unique of values without NaN: a sort, then the first of each run
-    of equal values.  np.unique would import numpy.ma on every call."""
-    values = np.sort(values)
-    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
-
-
 def unstable_mode_count(params, Lx, Ly, max_modes):
     """Counts of unstable modes among the first max_modes eigenvalues.
 
     Returns (trace_count, full_count): modes with positive trace of the
     mode matrix, and modes with any eigenvalue in the right half-plane.
-    The full count is classified piece by piece between the roots of
-    c1, c3, c4 and the Hurwitz determinant; see the module docstring.
-    Both counts are taken over blocks of _CENSUS_BLOCK modes, so that
-    besides the mode list the census holds temporaries of one block.
+    A mode is stable when c1, c3, c4 and the Hurwitz determinant are
+    all positive; see the module docstring.  Both counts are taken over
+    blocks of _CENSUS_BLOCK modes, so that besides the mode list the
+    census holds temporaries of one block.
     """
     if max_modes < 1:
         raise ValueError("max_modes must be at least 1")
@@ -196,35 +205,24 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
     c1, c2, c3, c4 = _characteristic_polynomials(base, rates)
     hurwitz = c1 * c2 * c3 - c3 * c3 - c1 * c1 * c4
 
-    # Every root's real part is a cut, so a double root that the root
-    # finder splits into a complex pair still bounds a piece.
-    top = 2.0 * mus[-1] + 1.0
-    edges = np.concatenate([p.roots() for p in (c1, c3, c4, hurwitz)]).real
-    cuts = _sorted_distinct(np.concatenate(([0.0], edges[(edges > 0.0) & (edges < top)], [top])))
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-
     # |c4| <= |lam| size^3 for a real eigenvalue lam, and by Orlando's
     # formula |hurwitz| <= 2 |Re lam| (2 size)^5 for a complex pair, so
-    # a mode kept off this list has no eigenvalue within
-    # EDGE_ROUNDING * size / 64 of the imaginary axis.  A piece whose
-    # midpoint is on it is tested mode by mode.
+    # a mode off the near-edge list has no eigenvalue within
+    # EDGE_ROUNDING * size / 64 of the imaginary axis.  There the float
+    # signs of c4 and hurwitz are exact, and with both positive so are
+    # those of c1 and c3.  Modes on the list get their own eigensolve.
     norm_base, norm_rates = np.linalg.norm(base), np.linalg.norm(rates)
-
-    def near_edge(m):
-        size = norm_base + norm_rates * m
-        size4 = size**4
-        return (np.abs(c4(m)) <= EDGE_ROUNDING * size4) | (
-            np.abs(hurwitz(m)) <= EDGE_ROUNDING * size4 * size * size
-        )
-
-    mid_unstable, mid_near = _any_unstable(base, ramp, mids), near_edge(mids)
     trace_count = full_count = 0
     for start in range(0, mus.size, _CENSUS_BLOCK):
         block = mus[start : start + _CENSUS_BLOCK]
         trace_count += int(np.count_nonzero(-rate_sum * block + bracket > 0.0))
-        piece = np.searchsorted(cuts, block, side="right") - 1
-        unstable = mid_unstable[piece]
-        direct = near_edge(block) | mid_near[piece]
+        k4, det = c4(block), hurwitz(block)
+        unstable = ~((c1(block) > 0.0) & (c3(block) > 0.0) & (k4 > 0.0) & (det > 0.0))
+        size = norm_base + norm_rates * block
+        size4 = size**4
+        direct = (np.abs(k4) <= EDGE_ROUNDING * size4) | (
+            np.abs(det) <= EDGE_ROUNDING * size4 * size * size
+        )
         unstable[direct] = _any_unstable(base, ramp, block[direct])
         full_count += int(np.count_nonzero(unstable))
     return trace_count, full_count

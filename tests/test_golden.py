@@ -1,7 +1,7 @@
 """Golden SHA-256 digests of the solver and of the four commands' outputs.
 
 The digests pin outputs bit for bit, so a refactor of the solver, the
-stencil, the pair count, the mode census, the feasibility sweep or the
+stencil, the pair count, the mode census, the feasibility check or the
 CSV writers must leave every value here unchanged.  They
 were taken with numpy 2.4.6; another numpy build may round some ufunc
 differently and legitimately need new digests.
@@ -99,7 +99,8 @@ LORENZ_STRIDED_SHA256 = "bf5156ed46ab07e82feed3f7a1d3e2d416c0304ff77b7803e01f572
 # square of side pi, 120,000 modes), then of the first draw on the
 # interval that a 200 x 1 grid gives, keyed by (seed, N), N the
 # dimension of the domain.  Seeds 1 and 3 count fewer unstable modes
-# than the census holds, so their counts pin its pieces.
+# than the census holds, so their counts pin both its stable and its
+# unstable verdicts.
 SCAN_MODES = 120_000
 SCAN_SHA256 = {
     (1, 2): {

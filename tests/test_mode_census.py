@@ -1,4 +1,4 @@
-"""Property test: the piecewise mode census against one eigensolve per mode."""
+"""Property test: the Routh-Hurwitz mode census against one eigensolve per mode."""
 
 import math
 import tracemalloc
@@ -61,6 +61,19 @@ def stability_edges(params, samples=257):
     return edges
 
 
+def sign_roots(params):
+    """Positive real mode values where c1 or c3 changes sign.
+
+    There the Hurwitz determinant is -c3^2 or -c1^2 c4, so a mode on one
+    is unstable whichever way the census reads the zero.
+    """
+    base = mode_matrix(0.0, params)
+    rates = [float(params.a), float(params.b), float(params.c), float(params.d)]
+    c1, _, c3, _ = spectral._characteristic_polynomials(base, rates)
+    roots = np.concatenate((c1.roots(), c3.roots()))
+    return [r.real for r in roots if r.imag == 0.0 and r.real > 0.0]
+
+
 moderate = st.floats(0.05, 3.0)
 wide = st.floats(-4.0, 1.5).map(lambda e: 10.0**e)
 
@@ -108,7 +121,7 @@ def test_census_equals_the_direct_count(params, Lx, Ly, max_modes, block):
 def test_census_equals_the_direct_count_with_modes_on_an_edge(params):
     # Lx = pi j / sqrt(r) puts mode j of an interval on the edge r, and
     # with Ly = Lx the modes (j, 0) and (0, j) of the square both.
-    for r in stability_edges(params):
+    for r in stability_edges(params) + sign_roots(params):
         for j in (1, 2):
             centre = math.pi * j / math.sqrt(r)
             for Lx in (np.nextafter(centre, 0.0), centre, np.nextafter(centre, np.inf)):
@@ -125,8 +138,8 @@ def first_cut_through_a_tie(Lx, Ly, count):
 
 def test_census_equals_the_direct_count_past_the_unstable_band():
     # Weak diffusion on the unit square, or the interval of side pi: the
-    # low modes are unstable, the high ones stable, so the first and
-    # last pieces differ.
+    # low modes are unstable, the high ones stable, so the census sees
+    # both classes.
     params = SystemParams(beta=5.9, a=3e-5, b=5e-5, c=2e-5, d=7e-5)
     tie = first_cut_through_a_tie(math.pi, math.pi, 20000)
     for Ly, max_modes, block in (

@@ -1,12 +1,10 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from b4 import spectral
 from b4.model import SystemParams
@@ -104,6 +102,32 @@ def test_census_rejects_lengths_that_are_not_positive_and_finite(bad):
             neumann_eigenvalues(Lx, Ly, 4)
         with pytest.raises(ValueError, match="domain lengths must be positive and finite"):
             unstable_mode_count(SystemParams(), Lx, Ly, 50)
+
+
+@pytest.mark.parametrize(
+    "Lx, Ly, named",
+    [
+        # Too small: the values, or the rectangle's cutoff, overflow.
+        (1e-200, None, 1e-200),
+        (1e-153, None, 1e-153),
+        (1e-200, 2.0, 1e-200),
+        (2.0, 1e-200, 1e-200),
+        (1e-153, 1e-153, 1e-153),
+        # Too large: pi^2 / L^2 falls below the normal floats.
+        (1e200, None, 1e200),
+        (2e154, None, 2e154),
+        (1e200, 2.0, 1e200),
+        (2.0, 1e200, 1e200),
+    ],
+)
+def test_lengths_that_put_the_eigenvalues_out_of_range_are_named(Lx, Ly, named):
+    # Rejected before any arithmetic warns: the suite turns a
+    # RuntimeWarning into an error.
+    message = re.escape(f"domain length {named!r} puts the mode eigenvalues outside float64 range")
+    with pytest.raises(ValueError, match=message):
+        neumann_eigenvalues(Lx, Ly, 200)
+    with pytest.raises(ValueError, match=message):
+        unstable_mode_count(SystemParams(), Lx, Ly, 200)
 
 
 def test_mode_matrix_trace_closed_form():
@@ -264,18 +288,3 @@ def test_extract_kprime():
         extract_Kprime(1.0, SystemParams(beta=1.0), N=2)
     with pytest.raises(ValueError):
         extract_Kprime(1.0, NINE_PARAMS, N=5)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    values=arrays(
-        np.float64,
-        st.integers(0, 60),
-        elements=st.one_of(
-            st.sampled_from([0.0, -0.0, 1.5, math.inf, -math.inf]), st.floats(allow_nan=False)
-        ),
-    )
-)
-def test_sorted_distinct_is_np_unique(values):
-    # Bytes, so the zero kept of a run of 0.0 and -0.0 must match too.
-    assert spectral._sorted_distinct(values).tobytes() == np.unique(values).tobytes()
