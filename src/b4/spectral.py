@@ -11,14 +11,17 @@ characteristic polynomial's coefficients c1..c4 are exact polynomials
 in mu, and a mode is stable exactly when c1, c3, c4 and the Hurwitz
 determinant c1 c2 c3 - c3^2 - c1^2 c4 are all positive.  Only the modes
 where c4 or the determinant is within rounding of zero get an
-eigenvalue test of their own.  The count is the one an eigenvalue test
-of every mode gives.
+eigenvalue test of their own.  Modes past a Gershgorin cutoff, where
+every row disc of the mode matrix lies in the open left half-plane, are
+stable in both tests and not classified.  The count is the one an
+eigenvalue test of every mode gives.
 
-Memory stays bounded: the sorted mode list, 8 bytes a mode, is the only
-array that grows with the mode count.  The census classifies it in
-blocks of _CENSUS_BLOCK modes and adds up the counts, and the rectangle's
-eigenvalues are enumerated in bands of about as many lattice values.
-Every test is per mode, so the block size never changes a count.
+Memory stays bounded: the rectangle's eigenvalues come from a box of
+about 4/pi lattice values a mode (at most 4/pi + 2 on a thin one), 8
+bytes each, allocated at once and cut to the sorted mode list.  The
+census classifies that list in blocks of _CENSUS_BLOCK modes and adds
+up the counts.  Every test is per mode, so the block size never changes
+a count.
 
 Bound formulas accept exact rational inputs: with Fraction-valued
 parameters the base and the rectangle's lower bound stay Fractions.
@@ -62,9 +65,9 @@ def neumann_eigenvalues(Lx, Ly, count):
     Values are pi^2 (j^2/Lx^2 + k^2/Ly^2) over j,k >= 0, ascending and
     with multiplicity, for positive finite lengths that keep them in
     float64 range.  Pass Ly=None for a one-dimensional interval, which
-    keeps only the k=0 branch.  The result is built in place: the
-    rectangle's values under a cutoff go, band by band, into one array
-    that is sorted and cut to `count`, with no copy.
+    keeps only the k=0 branch.  The rectangle's values under a cutoff
+    go, band by band, into a box allocated before any value is computed,
+    which is sorted and cut to `count`, with no copy.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -73,13 +76,16 @@ def neumann_eigenvalues(Lx, Ly, count):
             continue
         if not (math.isfinite(length) and length > 0):
             raise ValueError("domain lengths must be positive and finite")
-        # Then pi^2 / L^2, the scale of the values, does not underflow;
-        # where it overflows, so does the largest value checked below.
+        # Then pi^2 / L^2, the scale of the values, does not underflow.
         if not 0.0 < length * length < math.inf:
             raise _out_of_range(length)
+    # The values (j, 0) or (0, k) along the longer side reach line^2 at
+    # the count-th; no value computed below exceeds twice that.
+    longest = Lx if Ly is None else max(Lx, Ly)
+    line = math.pi * (count - 1) / longest
+    if not math.isfinite(2.0 * line * line):
+        raise _out_of_range(longest)
     if Ly is None:
-        if not math.isfinite(math.pi**2 * (count - 1) ** 2 / Lx**2):
-            raise _out_of_range(Lx)
         # pi^2 j^2 / Lx^2, evaluated in place in that order.
         mu = np.arange(count, dtype=float)
         np.multiply(mu, mu, mu)
@@ -87,41 +93,33 @@ def neumann_eigenvalues(Lx, Ly, count):
         np.divide(mu, Lx**2, mu)
         return mu
 
-    # Enumerate everything below a cutoff that holds at least `count`
-    # values.  Each lattice point (j, k) owns the unit cell above and to
-    # the right of it, and the cells of the points under mu cover the
-    # quarter ellipse pi^2 (j^2/Lx^2 + k^2/Ly^2) <= mu, so at least
-    # Lx Ly mu / (4 pi) points lie under mu.  The cutoff is 1.3 times
-    # the mu at which that area reaches `count`, plus a slack term.
-    bound = 4.0 * math.pi * count / (Lx * Ly) * 1.3 + 16.0 * math.pi**2 * (
-        1.0 / Lx**2 + 1.0 / Ly**2
-    )
-    # No lattice value computed below exceeds 3.125 times the cutoff.
-    if not math.isfinite(4.0 * bound):
-        raise _out_of_range(min(Lx, Ly))
-    jmax = int(math.sqrt(bound) * Lx / math.pi) + 1
-    kmax = int(math.sqrt(bound) * Ly / math.pi) + 1
+    # Each of two cutoffs holds at least `count` values: line^2, by the
+    # line along the longer side, and 4 pi count / (Lx Ly), as each
+    # lattice point (j, k) owns the unit cell above and to the right of
+    # it, and the cells of the points under mu cover the quarter ellipse
+    # pi^2 (j^2/Lx^2 + k^2/Ly^2) <= mu, so at least Lx Ly mu / (4 pi)
+    # points lie under mu.  The factor covers the values' rounding.
+    cutoff = min(line * line, 4.0 * math.pi * count / (Lx * Ly)) * (1.0 + 2.0**-40)
+    jmax = int(math.sqrt(cutoff) * Lx / math.pi)
+    kmax = int(math.sqrt(cutoff) * Ly / math.pi)
+    # The whole box at once: a list that cannot fit fails here, first.
+    mu = np.empty((jmax + 1) * (kmax + 1))
     jj = (np.arange(jmax + 1, dtype=float) / Lx) ** 2
     kk = (np.arange(kmax + 1, dtype=float) / Ly) ** 2
 
     # The lattice in bands of whole rows j, about _CENSUS_BLOCK values
-    # each: pi^2 (jj[j] + kk).  One pass counts the values under the
-    # cutoff, the next writes them, in the same order, into one array.
-    rows = max(1, _CENSUS_BLOCK // kk.size)
-
-    def bands():
-        for start in range(0, jj.size, rows):
-            band = np.add.outer(jj[start : start + rows], kk)
-            np.multiply(band, math.pi**2, band)
-            yield band[band <= bound]
-
-    mu = np.empty(sum(under.size for under in bands()))
+    # each: pi^2 (jj[j] + kk), those under the cutoff written in order.
     end = 0
-    for under in bands():
+    rows = max(1, _CENSUS_BLOCK // kk.size)
+    for start in range(0, jj.size, rows):
+        band = np.add.outer(jj[start : start + rows], kk)
+        np.multiply(band, math.pi**2, band)
+        under = band[band <= cutoff]
         mu[end : end + under.size] = under
         end += under.size
+    # In place (no view of mu exists): the unfilled end, then past count.
+    mu.resize(end, refcheck=False)
     mu.sort()
-    # In place: no view of mu exists, and the values past count go.
     mu.resize(count, refcheck=False)
     return mu
 
@@ -192,10 +190,16 @@ def unstable_mode_count(params, Lx, Ly, max_modes):
     blocks of _CENSUS_BLOCK modes, so that besides the mode list the
     census holds temporaries of one block.
     """
-    if max_modes < 1:
-        raise ValueError("max_modes must be at least 1")
     check_params(params)
     mus = neumann_eigenvalues(Lx, Ly, max_modes)
+    # The Gershgorin disc of row i of the mode matrix reaches right to
+    # edges[i] - rate_i mu.  Past mu_G = max edges[i] / rate_i every disc
+    # lies in the open left half-plane, and the trace is at most the sum
+    # of the right edges: both tests call those modes stable.
+    a2 = params.alpha * params.alpha
+    edges = (params.beta - 1 + a2, params.beta - a2) * 2
+    mu_g = max(e / r for e, r in zip(edges, (params.a, params.b, params.c, params.d)))
+    mus = mus[: np.searchsorted(mus, float(mu_g), side="right")]
     rate_sum = float(params.a + params.b + params.c + params.d)
     bracket = float(_trace_bracket(params))
 

@@ -383,14 +383,18 @@ def albano_dimension(series):
     Delay from the 1/e rule, initial window a multiple of it, SVD
     projection, correlation dimension, then embedding growth until the
     Takens condition m > 2d+1 holds, followed by a refinement scan
-    keeping the best-fitting m.  Hitting M_MAX returns the last fit
-    with takens_ok=False instead of raising.  The embedding takes every
-    l-th sample, l chosen to keep about MAX_POINTS vectors.
+    keeping the best-fitting m, a qualified fit before a low-confidence
+    one.  Hitting M_MAX returns the last fit with takens_ok=False
+    instead of raising.  The embedding takes every l-th sample, l chosen
+    to keep about MAX_POINTS vectors.
     """
     x = np.asarray(series, dtype=float).ravel()
     acf = autocorrelation(x, min(MAX_LAG, x.size - 1))
     tau = select_delay(acf)
     stride = max(1, -(-x.size // MAX_POINTS))
+
+    def rank(report):
+        return (not report.low_confidence, report.fit_r2)
 
     def evaluate(m):
         emb = embed(x, m, tau, stride)
@@ -435,7 +439,7 @@ def albano_dimension(series):
             candidate = evaluate(trial)
         except ValueError:
             break
-        if candidate.fit_r2 > best.fit_r2:
+        if rank(candidate) > rank(best):
             best = candidate
     return replace(best, takens_ok=best.m_used >= 2.0 * best.d + 1.0)
 

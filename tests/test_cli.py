@@ -714,9 +714,14 @@ def bounds_row(tmp_path, name, text):
 
 def test_bounds_on_a_chain_counts_its_interval(tmp_path, capsys):
     # A 200 x 1 chain is the interval of Lx (N = 1): lower = sqrt(base),
-    # upper = Lx + 1, and the census counts the interval's modes.
-    row = bounds_row(tmp_path, "chain", CHAIN_KEYS)
-    assert row == "152390.00000000009,390.37161782076333,38,88,1.2985"
+    # upper = Lx + 1, and the census counts the interval's modes.  On the
+    # chain of Lx = 1e-60 every mode but the first lies past mu_G, up to
+    # 1e127, where c4 and the Hurwitz determinant would overflow.
+    for name, keys, want in (
+        ("chain", CHAIN_KEYS, "152390.00000000009,390.37161782076333,38,88,1.2985"),
+        ("short", "nx = 200\nny = 1\nLx = 1e-60\n", "180975,425.41156542811575,1,1,1"),
+    ):
+        assert bounds_row(tmp_path, name, keys) == want
 
 
 def test_bounds_of_a_chain_along_x_or_y_agree(tmp_path, capsys):
@@ -733,14 +738,24 @@ def test_bounds_on_a_single_node_writes_nothing(tmp_path, capsys):
 
 
 def test_bounds_out_of_memory_exits_1_and_writes_nothing(tmp_path, capsys):
-    # The interval's mode list of 1e15 modes is a 7 PiB array, which
-    # numpy refuses at once, before it allocates anything.
+    # The interval's mode list of 1e15 modes is a 7 PiB array, and the
+    # 500 x 500 square's box of lattice values a 9 PiB one, which numpy
+    # refuses at once, before any value is computed.
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text(f"ny = 1\nmax_modes = 1000000000000000\nout_dir = {tmp_path / 'out'}\n")
-    assert main(["bounds", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("b4: out of memory: ") and "Traceback" not in err, err
-    assert not (tmp_path / "out").exists()
+    for shape in ("ny = 1\n", ""):
+        cfg.write_text(f"{shape}max_modes = 1000000000000000\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["bounds", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("b4: out of memory: ") and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+
+def test_bounds_on_thin_rectangles_takes_the_modes_along_the_long_side(tmp_path, capsys):
+    # 1e150 x 500 and 1e-6 x 500: the first 1,000 modes lie on the line
+    # along the long side, and the box of lattice values is that line.
+    assert bounds_row(tmp_path, "long", "Lx = 1e150\n") == "180975,180975,1000,1000,5e+152"
+    thin = bounds_row(tmp_path, "thin", "Lx = 1e-6\nLy = 500\n")
+    assert thin == "180975,180975,1000,1000,1.0004999999999999"
 
 
 def test_run_bounds_clamps_at_stability_threshold(tmp_path):

@@ -160,10 +160,11 @@ def test_census_equals_the_direct_count_past_the_unstable_band():
 
 @pytest.mark.parametrize("max_modes, budget_mib", [(120_000, 3), (1_000_000, 20)])
 def test_census_memory_does_not_grow_past_the_mode_list(max_modes, budget_mib):
-    # A draw of the benchmark's scan: the square of side pi.  The mode
-    # list alone takes 8 bytes a mode, 0.92 MiB at 120,000 modes and
-    # 7.63 MiB at 10^6; the rest of each budget is the enumeration's
-    # surplus under its cutoff and one block of temporaries.
+    # A draw of the benchmark's scan: the square of side pi.  The box of
+    # lattice values the modes are taken from holds about 4/pi values a
+    # mode, 8 bytes each: 1.17 MiB at 120,000 modes and 9.72 MiB at
+    # 10^6, cut in place to the mode list.  The rest of each budget is
+    # the rows and columns of the box and one block of temporaries.
     params = SystemParams(beta=5.9, a=3e-6, b=5e-6, c=2e-6, d=7e-6)
     unstable_mode_count(params, math.pi, math.pi, 10)  # lazy imports first
     tracemalloc.start()

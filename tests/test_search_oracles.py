@@ -1,10 +1,11 @@
 """The mode enumeration against its earlier form.
 
 ``oracle_eigenvalues`` enumerates every Neumann eigenvalue of the
-rectangle under four times the cutoff that ``neumann_eigenvalues``
-uses, with the same float operations per lattice point, where the old
-code grew its cutoff until it held ``count`` values.  The code must
-match it byte for byte.
+rectangle under four times an earlier, padded cutoff, with the same
+float operations per lattice point, where the old code grew its cutoff
+until it held ``count`` values.  That cutoff is above the one
+``neumann_eigenvalues`` now uses, so the oracle's values are a superset
+of the code's.  The code must match it byte for byte.
 """
 
 import math

@@ -86,6 +86,13 @@ def test_eigenvalues_match_brute_enumeration():
             assert neumann_eigenvalues(Lx, Ly, 500).tobytes() == mu.tobytes()
 
 
+def test_a_thin_rectangle_enumerates_the_line_along_its_long_side():
+    # 1,000 values: the k-line of the 500 side, not a lattice of about
+    # 2e9 values along it.
+    mu = neumann_eigenvalues(1e-6, 500.0, 1000)
+    assert mu.tobytes() == (math.pi**2 * (np.arange(1000) / 500.0) ** 2).tobytes()
+
+
 def test_eigenvalues_argument_guards():
     with pytest.raises(ValueError):
         neumann_eigenvalues(1.0, 1.0, 0)
