@@ -59,6 +59,12 @@ def _out_of_range(length):
     return ValueError(f"domain length {length!r} puts the mode eigenvalues outside float64 range")
 
 
+def _check_indexable(entries, count):
+    """MemoryError for a float64 array of `entries` numpy cannot index."""
+    if entries > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{count} modes need {entries} float64 values, past numpy's index range")
+
+
 def neumann_eigenvalues(Lx, Ly, count):
     """First `count` no-flux Laplacian eigenvalues of a rectangle.
 
@@ -67,10 +73,12 @@ def neumann_eigenvalues(Lx, Ly, count):
     float64 range.  Pass Ly=None for a one-dimensional interval, which
     keeps only the k=0 branch.  The rectangle's values under a cutoff
     go, band by band, into a box allocated before any value is computed,
-    which is sorted and cut to `count`, with no copy.
+    which is sorted and cut to `count`, with no copy.  A box or interval
+    list with more entries than numpy can index raises MemoryError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    _check_indexable(count, count)
     for length in (Lx, Ly):
         if length is None:
             continue
@@ -103,6 +111,7 @@ def neumann_eigenvalues(Lx, Ly, count):
     jmax = int(math.sqrt(cutoff) * Lx / math.pi)
     kmax = int(math.sqrt(cutoff) * Ly / math.pi)
     # The whole box at once: a list that cannot fit fails here, first.
+    _check_indexable((jmax + 1) * (kmax + 1), count)
     mu = np.empty((jmax + 1) * (kmax + 1))
     jj = (np.arange(jmax + 1, dtype=float) / Lx) ** 2
     kk = (np.arange(kmax + 1, dtype=float) / Ly) ** 2

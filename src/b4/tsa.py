@@ -4,6 +4,8 @@ Pipeline: pick a delay from the 1/e autocorrelation crossing, build a
 delay embedding, rotate onto the leading singular directions, estimate
 the correlation dimension from the pair-count integral, and iterate
 the embedding dimension until the Takens condition m > 2d+1 holds.
+A refinement scan then tries larger m until d(m) levels off: two
+qualified fits in a row whose d agree within PLATEAU_SHARE.
 A nearest-neighbor divergence estimator supplies the largest Lyapunov
 exponent.
 
@@ -37,6 +39,7 @@ import numpy as np
 MAX_LAG = 1000  # the autocorrelation lags searched for the 1/e delay
 WINDOW_FACTOR = 4.0  # the first embedding dimension tried, floor(WINDOW_FACTOR) + 1
 REFINE_SPAN = 10  # the embedding dimensions scanned past the Takens point
+PLATEAU_SHARE = 0.05  # the change of d, as a share of it, that ends that scan
 RADII_COUNT = 40  # the log-spaced radii of each correlation integral
 R_LO_PERCENTILE = 1.0  # the smallest radius, as a pair-distance percentile
 R_HI_PERCENTILE = 50.0  # the largest radius, likewise
@@ -384,7 +387,10 @@ def albano_dimension(series):
     projection, correlation dimension, then embedding growth until the
     Takens condition m > 2d+1 holds, followed by a refinement scan
     keeping the best-fitting m, a qualified fit before a low-confidence
-    one.  Hitting M_MAX returns the last fit with takens_ok=False
+    one.  The scan tries at most REFINE_SPAN dimensions and ends at the
+    first m whose fit and the one at m-1 are both qualified with
+    |d(m) - d(m-1)| <= PLATEAU_SHARE * d(m-1); a low-confidence fit
+    never ends it.  Hitting M_MAX returns the last fit with takens_ok=False
     instead of raising.  The embedding takes every l-th sample, l chosen
     to keep about MAX_POINTS vectors.
     """
@@ -434,6 +440,7 @@ def albano_dimension(series):
             return best
         m = next_m
 
+    last = best
     for trial in range(m + 1, min(m + REFINE_SPAN, M_MAX) + 1):
         try:
             candidate = evaluate(trial)
@@ -441,6 +448,10 @@ def albano_dimension(series):
             break
         if rank(candidate) > rank(best):
             best = candidate
+        qualified = not (last.low_confidence or candidate.low_confidence)
+        if qualified and abs(candidate.d - last.d) <= PLATEAU_SHARE * last.d:
+            break
+        last = candidate
     return replace(best, takens_ok=best.m_used >= 2.0 * best.d + 1.0)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -740,10 +741,13 @@ def test_bounds_on_a_single_node_writes_nothing(tmp_path, capsys):
 def test_bounds_out_of_memory_exits_1_and_writes_nothing(tmp_path, capsys):
     # The interval's mode list of 1e15 modes is a 7 PiB array, and the
     # 500 x 500 square's box of lattice values a 9 PiB one, which numpy
-    # refuses at once, before any value is computed.
+    # refuses at once, before any value is computed.  The square's box
+    # for 1e18 modes, and both arrays from 1e20 modes on, have more
+    # entries than numpy can index.
     cfg = tmp_path / "huge.cfg"
-    for shape in ("ny = 1\n", ""):
-        cfg.write_text(f"{shape}max_modes = 1000000000000000\nout_dir = {tmp_path / 'out'}\n")
+    counts = (10**15, 10**18, 10**20, 10**400)
+    for shape, count in itertools.product(("ny = 1\n", ""), counts):
+        cfg.write_text(f"{shape}max_modes = {count}\nout_dir = {tmp_path / 'out'}\n")
         assert main(["bounds", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("b4: out of memory: ") and "Traceback" not in err, err

@@ -209,6 +209,28 @@ def lorenz_series(n, seed, spacing=0.05, substeps=5):
     return out[200:]
 
 
+def rossler_series(n, seed, spacing=0.2, substeps=10):
+    # x of the Rossler system at a = b = 0.2, c = 5.7, by RK4.
+    rng = np.random.default_rng(seed)
+    state = np.array([1.0, 1.0, 0.0]) + rng.uniform(-0.5, 0.5, 3)
+
+    def rate(s):
+        x, y, z = s
+        return np.array([-y - z, x + 0.2 * y, 0.2 + z * (x - 5.7)])
+
+    h = spacing / substeps
+    out = np.empty(n + 200)
+    for i in range(out.size):
+        for _ in range(substeps):
+            k1 = rate(state)
+            k2 = rate(state + 0.5 * h * k1)
+            k3 = rate(state + 0.5 * h * k2)
+            k4 = rate(state + h * k3)
+            state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i] = state[0]
+    return out[200:]
+
+
 def test_strided_estimates_are_pinned():
     spacing = 0.05
     x = lorenz_series(1500, seed=1, spacing=spacing)

@@ -21,6 +21,7 @@ from b4.tsa import (
     select_delay,
     svd_reduce,
 )
+from test_golden import henon_series, lorenz_series, rossler_series
 
 
 def sine_series(n, period=100.0, phase=0.0):
@@ -281,6 +282,104 @@ def test_albano_dimension_white_noise_stays_high():
     with mock.patch.object(tsa, "MAX_POINTS", 1200), mock.patch.object(tsa, "M_MAX", 40):
         report = albano_dimension(x)
     assert report.d > 4.0
+
+
+def full_scan_dimension(series):
+    """albano_dimension with its refinement scan run over all of REFINE_SPAN.
+
+    A replica, from the public steps, of the estimate before the scan
+    stopped where d(m) levels off.  Returns the picked fit as (d, m,
+    fit_r2, radii, C) and the (m, low_confidence) of every fit made.
+    """
+    x = np.asarray(series, dtype=float).ravel()
+    tau = select_delay(autocorrelation(x, min(tsa.MAX_LAG, x.size - 1)))
+    stride = max(1, -(-x.size // tsa.MAX_POINTS))
+    fits = []
+
+    def evaluate(m):
+        emb = embed(x, m, tau, stride)
+        theiler = tsa.theiler_window(emb)
+        if emb.rows.shape[0] < max(m, theiler + 2):
+            raise ValueError(f"too few points at m = {m}")
+        coords, _, _ = svd_reduce(emb.rows, tsa.SVD_THRESHOLD)
+        radii = radii_grid(coords)
+        C = correlation_integral(coords, radii, theiler)
+        fit = correlation_dimension(radii, C)
+        fits.append((m, fit.low_confidence))
+        return (not fit.low_confidence, fit.fit_r2), (fit.d, m, fit.fit_r2, radii, C)
+
+    m = int(tsa.WINDOW_FACTOR) + 1
+    while True:
+        rank, best = evaluate(m)
+        if m > 2.0 * best[0] + 1.0:
+            break
+        next_m = max(m + 1, int(math.floor(2.0 * best[0] + 1.0)) + 1)
+        if next_m > tsa.M_MAX:
+            return best, fits
+        m = next_m
+    for trial in range(m + 1, min(m + tsa.REFINE_SPAN, tsa.M_MAX) + 1):
+        try:
+            trial_rank, candidate = evaluate(trial)
+        except ValueError:
+            break
+        if trial_rank > rank:
+            rank, best = trial_rank, candidate
+    return best, fits
+
+
+def assert_reports_the_fit(report, fit):
+    d, m, fit_r2, radii, C = fit
+    assert (report.d, report.m_used, report.fit_r2) == (d, m, fit_r2)
+    assert np.array_equal(report.radii, radii) and np.array_equal(report.C, C)
+
+
+def test_the_plateau_stop_reports_the_full_scan_pick():
+    # The scan stops after 2 or 3 fits on the first three series, where
+    # d(m) levels off at once, and runs the whole span on the last two;
+    # the pick is the full scan's either way.
+    cases = [
+        (lorenz_series(1500, seed=1), 2),
+        (henon_series(1500, seed=2), 3),
+        (rossler_series(1500, seed=1), 2),
+        (lorenz_series(1500, seed=2), 11),
+        (henon_series(2000, seed=1), 11),
+    ]
+    for x, calls in cases:
+        fit, fits = full_scan_dimension(x)
+        assert len(fits) == 11
+        with mock.patch.object(tsa, "correlation_integral", wraps=correlation_integral) as counted:
+            report = albano_dimension(x)
+        assert counted.call_count == calls
+        assert_reports_the_fit(report, fit)
+
+
+def test_a_tone_levels_off_after_two_fits():
+    # A pure tone and a near-periodic one whose phase wanders slowly:
+    # d(m) is flat at 1, so the fit just past the Takens point agrees.
+    t = np.arange(2000)
+    tone = sine_series(4000)
+    wandering = np.sin(2 * np.pi * t / 100.0 + 0.3 * np.sin(2 * np.pi * t / 1700.0))
+    for x in (tone, wandering):
+        with mock.patch.object(tsa, "MAX_POINTS", 1500), mock.patch.object(
+            tsa, "correlation_integral", wraps=correlation_integral
+        ) as counted:
+            report = albano_dimension(x)
+        assert counted.call_count <= 2
+        assert report.d == pytest.approx(1.0, abs=0.05) and not report.low_confidence
+
+
+def test_low_confidence_fits_never_end_the_refinement_scan():
+    # Every fit on the white noise of the test above is low-confidence:
+    # the scan runs to its end, 15 fits, and picks what the full scan does.
+    x = np.random.default_rng(9).standard_normal(2500)
+    with mock.patch.object(tsa, "MAX_POINTS", 1200), mock.patch.object(tsa, "M_MAX", 40):
+        fit, fits = full_scan_dimension(x)
+        with mock.patch.object(tsa, "correlation_integral", wraps=correlation_integral) as counted:
+            report = albano_dimension(x)
+    assert len(fits) == 15 and all(low for _, low in fits)
+    assert counted.call_count == 15
+    assert_reports_the_fit(report, fit)
+    assert round(report.d, 3) == 6.618
 
 
 def test_albano_dimension_names_a_delay_too_long_for_the_series():
